@@ -5,10 +5,10 @@
 # linter (internal/analysis via cmd/unmasquelint), the full test suite
 # under the race detector, every fuzz target in smoke mode, an
 # end-to-end traced extraction whose JSONL output is schema-validated,
-# the storage-tier end-to-ends (crash-recovery self-check, disk-store
-# differential, warm-daemon restart on a durable probe cache), and a
-# coverage gate on the load-bearing packages. Any failure stops the
-# gate.
+# the daemon and telemetry end-to-ends, the durable probe-cache
+# end-to-ends (a cold then warm one-shot CLI run on one -cache-dir,
+# and a warm-daemon restart on a cache directory), and a coverage gate
+# on the load-bearing packages. Any failure stops the gate.
 set -eu
 
 cd "$(dirname "$0")"
@@ -158,18 +158,29 @@ grep -q "drained cleanly" "$e2e_dir/daemon.log" || {
     exit 1
 }
 
-# Storage tier end-to-end: (a) the crash-recovery self-check walks a
-# real store through every injected crash stage, (b) an extraction
-# over the disk-backed store must produce byte-identical SQL to the
-# in-memory default.
-echo "== storage tier end-to-end (crash selfcheck + disk differential)"
-go run ./cmd/unmasque -store-selfcheck "$e2e_dir/selfcheck"
-disk_sql=$(go run ./cmd/unmasque -app enki/posts_by_tag -store disk | grep -v '^--')
-if [ "$disk_sql" != "$cli_sql" ]; then
-    echo "storage e2e: -store disk extracts different SQL" >&2
-    printf 'disk: %s\nmem:  %s\n' "$disk_sql" "$cli_sql" >&2
+# CLI probe-cache end-to-end: two one-shot extractions on the same
+# -cache-dir. Both must print the SQL of the cache-less CLI run above;
+# the second must do so with zero application invocations, every probe
+# replayed from the durable cache (the -stats profile's disk=N, N > 0).
+echo "== CLI probe cache end-to-end (-cache-dir, cold then warm)"
+cold_out=$(go run ./cmd/unmasque -app enki/posts_by_tag -cache-dir "$e2e_dir/cli-cache" -stats)
+warm_out=$(go run ./cmd/unmasque -app enki/posts_by_tag -cache-dir "$e2e_dir/cli-cache" -stats)
+cold_sql=$(printf '%s\n' "$cold_out" | grep -v '^--')
+warm_sql=$(printf '%s\n' "$warm_out" | grep -v '^--')
+if [ "$cold_sql" != "$cli_sql" ] || [ "$warm_sql" != "$cli_sql" ]; then
+    echo "cli cache e2e: -cache-dir runs extract different SQL" >&2
+    printf 'cold:  %s\nwarm:  %s\nplain: %s\n' "$cold_sql" "$warm_sql" "$cli_sql" >&2
     exit 1
 fi
+warm_profile=$(printf '%s\n' "$warm_out" | grep '^-- profile:')
+case "$warm_profile" in
+    *" invocations=0 "*" disk="[1-9]*) echo "cli cache e2e: warm $warm_profile" ;;
+    *)
+        echo "cli cache e2e: warm run was not served from the probe cache" >&2
+        printf '%s\n' "$warm_profile" >&2
+        exit 1
+        ;;
+esac
 
 # Warm-daemon end-to-end: boot the daemon with a durable probe cache,
 # run a job cold, SIGTERM-drain it, boot a fresh daemon on the same

@@ -57,9 +57,9 @@ func main() {
 		"service":     func() (any, error) { return bench.Service(os.Stdout, opt) },
 		"obs":         func() (any, error) { return bench.Obs(os.Stdout, opt) },
 		"storage": func() (any, error) {
-			// The disk-tier experiment needs a scratch directory for
-			// heap files and the probe-cache log; bench itself does no
-			// file I/O (GL010), so the temp dir is owned here.
+			// The storage experiment needs a scratch directory for the
+			// probe-cache log; bench itself does no file I/O (GL010),
+			// so the temp dir is owned here.
 			scratch, err := os.MkdirTemp("", "unmasque-bench-storage-*")
 			if err != nil {
 				return nil, err

@@ -18,9 +18,7 @@
 //	unmasque -validate-trace out.jsonl      # schema-check a trace file
 //	unmasque -validate-prom scrape.prom     # check a /metrics scrape
 //	unmasque -validate-stream capture.sse   # check an SSE stream capture
-//	unmasque -app tpch/Q3 -store disk       # probe from paged heap files
 //	unmasque -app tpch/Q3 -cache-dir d      # durable cross-run probe cache
-//	unmasque -store-selfcheck /tmp/sc       # storage crash-recovery check
 //
 // The -chrome / -to-chrome outputs open directly in about://tracing
 // and https://ui.perfetto.dev.
@@ -43,7 +41,6 @@ import (
 	"unmasque/internal/core"
 	"unmasque/internal/obs"
 	"unmasque/internal/obs/telemetry"
-	"unmasque/internal/sqldb"
 	"unmasque/internal/storage"
 	"unmasque/internal/workloads/registry"
 )
@@ -224,80 +221,28 @@ func traceToChrome(inPath, outPath string) error {
 	return nil
 }
 
-// storeFlags holds the storage-tier command-line surface.
-type storeFlags struct {
-	mode     string // -store: mem | disk
-	dir      string // -store-dir: heap-file directory for -store disk
-	cacheDir string // -cache-dir: durable cross-run probe cache
-}
-
-// apply rehouses db on the paged disk tier (-store disk) and attaches
-// the durable probe cache (-cache-dir) under the namespace ns. The
-// returned database replaces db for the extraction; cleanup must run
-// after it finishes — it closes the store that serves the database's
-// lazy page faults, closes the probe cache, and removes an implicit
-// temp store directory.
-func (sf storeFlags) apply(db *sqldb.Database, cfg *core.Config, ns string) (*sqldb.Database, func(), error) {
-	cleanup := func() {}
-	switch sf.mode {
-	case "", "mem":
-	case "disk":
-		dir := sf.dir
-		if dir == "" {
-			tmp, err := os.MkdirTemp("", "unmasque-store-*")
-			if err != nil {
-				return nil, nil, err
-			}
-			dir = tmp
-			cleanup = func() { os.RemoveAll(tmp) }
-		}
-		st, err := storage.Open(dir, storage.Options{})
-		if err != nil {
-			cleanup()
-			return nil, nil, fmt.Errorf("opening disk store: %w", err)
-		}
-		if err := st.BulkLoad(db); err != nil {
-			st.Close()
-			cleanup()
-			return nil, nil, fmt.Errorf("loading disk store: %w", err)
-		}
-		disk, err := st.OpenDatabase()
-		if err != nil {
-			st.Close()
-			cleanup()
-			return nil, nil, fmt.Errorf("opening disk-backed database: %w", err)
-		}
-		db = disk
-		rm := cleanup
-		cleanup = func() {
-			if err := st.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "disk store: %v\n", err)
-			}
-			rm()
-		}
-	default:
-		return nil, nil, fmt.Errorf("unknown -store mode %q (want mem or disk)", sf.mode)
+// attachCache opens the durable probe cache in cacheDir (-cache-dir)
+// and attaches it to cfg under the namespace ns. Without a directory
+// it does nothing. The returned close must run after the extraction
+// finishes.
+func attachCache(cacheDir string, cfg *core.Config, ns string) (func(), error) {
+	if cacheDir == "" {
+		return func() {}, nil
 	}
-	if sf.cacheDir != "" {
-		pc, err := storage.OpenProbeCache(filepath.Join(sf.cacheDir, "probecache.log"))
-		if err != nil {
-			cleanup()
-			return nil, nil, fmt.Errorf("opening probe cache: %w", err)
-		}
-		cfg.SharedCache = pc.Namespace(ns)
-		prev := cleanup
-		cleanup = func() {
-			if err := pc.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "probe cache: %v\n", err)
-			}
-			prev()
-		}
+	pc, err := storage.OpenProbeCache(filepath.Join(cacheDir, "probecache.log"))
+	if err != nil {
+		return nil, fmt.Errorf("opening probe cache: %w", err)
 	}
-	return db, cleanup, nil
+	cfg.SharedCache = pc.Namespace(ns)
+	return func() {
+		if err := pc.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "probe cache: %v\n", err)
+		}
+	}, nil
 }
 
 // runApp unmasks one registered application.
-func runApp(appName string, seed int64, having, noChecker, stats bool, bounded int, execMode string, sf storeFlags, ob *obsFlags) error {
+func runApp(appName string, seed int64, having, noChecker, stats bool, bounded int, execMode, cacheDir string, ob *obsFlags) error {
 	exe, db, err := registry.Build(appName, seed)
 	if err != nil {
 		return fmt.Errorf("setup: %w", err)
@@ -308,11 +253,11 @@ func runApp(appName string, seed int64, having, noChecker, stats bool, bounded i
 	cfg.SkipChecker = noChecker
 	cfg.BoundedCheck = bounded
 	cfg.ExecMode = execMode
-	db, cleanup, err := sf.apply(db, &cfg, storage.AppNamespace(appName, seed))
+	closeCache, err := attachCache(cacheDir, &cfg, storage.AppNamespace(appName, seed))
 	if err != nil {
 		return err
 	}
-	defer cleanup()
+	defer closeCache()
 	ob.attach(&cfg)
 
 	ext, err := core.Extract(exe, db, cfg)
@@ -335,7 +280,7 @@ func runApp(appName string, seed int64, having, noChecker, stats bool, bounded i
 // runAdhoc hides an arbitrary user query inside an executable over
 // the chosen workload database and unmasks it — a self-demo of the
 // full loop on any EQC query the user types.
-func runAdhoc(workload, sql string, seed int64, having, noChecker, stats bool, bounded int, execMode string, sf storeFlags, ob *obsFlags) error {
+func runAdhoc(workload, sql string, seed int64, having, noChecker, stats bool, bounded int, execMode, cacheDir string, ob *obsFlags) error {
 	db, plant, err := registry.AdhocDatabase(workload, seed)
 	if err != nil {
 		return err
@@ -358,11 +303,11 @@ func runAdhoc(workload, sql string, seed int64, having, noChecker, stats bool, b
 	// instance it runs over) is the identity.
 	sum := sha256.Sum256([]byte(sql))
 	ns := storage.AppNamespace(fmt.Sprintf("adhoc/%s/%x", workload, sum[:12]), seed)
-	db, cleanup, err := sf.apply(db, &cfg, ns)
+	closeCache, err := attachCache(cacheDir, &cfg, ns)
 	if err != nil {
 		return err
 	}
-	defer cleanup()
+	defer closeCache()
 	ob.attach(&cfg)
 	ext, err := core.Extract(exe, db, cfg)
 	if ferr := ob.finish(exe.Name(), cfg, ext); ferr != nil {
@@ -390,10 +335,7 @@ func main() {
 		noChecker  = flag.Bool("no-checker", false, "skip the final verification module")
 		bounded    = flag.Int("bounded-check", 0, "mutant-prune the checker with a bounded equivalence proof at k rows/table (0 = classical suite)")
 		execMode   = flag.String("exec", "", "sqldb execution engine for probes: vector (default) or tree (the differential-testing oracle)")
-		storeMode  = flag.String("store", "mem", "table storage backend: mem (resident rows) or disk (paged heap files behind a buffer pool)")
-		storeDir   = flag.String("store-dir", "", "heap-file directory for -store disk (default: a temp dir removed on exit)")
 		cacheDir   = flag.String("cache-dir", "", "durable probe-cache directory; repeat extractions of the same app+seed reuse recorded application outcomes")
-		selfCheck  = flag.String("store-selfcheck", "", "run the storage crash-recovery self-check in this directory and exit")
 		tracePath  = flag.String("trace", "", "write the probe trace (run header, spans, ledger) as JSONL to this file")
 		chromePath = flag.String("chrome", "", "write the Chrome trace-event export to this file (with -app/-sql, or as -to-chrome output)")
 		metrics    = flag.Bool("metrics", false, "print the metrics registry after extraction")
@@ -432,23 +374,14 @@ func main() {
 		}
 		return
 	}
-	if *selfCheck != "" {
-		if err := storage.SelfCheck(*selfCheck); err != nil {
-			fmt.Fprintf(os.Stderr, "storage self-check: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println("storage self-check: ok (torn-WAL, pre-commit and mid-apply crashes all recover)")
-		return
-	}
 	if *debugAddr != "" {
 		stop := startDebugServer(*debugAddr)
 		defer stop()
 	}
 	ob := &obsFlags{tracePath: *tracePath, chromePath: *chromePath, metrics: *metrics}
-	sf := storeFlags{mode: *storeMode, dir: *storeDir, cacheDir: *cacheDir}
 
 	if *adhocSQL != "" {
-		if err := runAdhoc(*workload, *adhocSQL, *seed, *having, *noChecker, *stats, *bounded, *execMode, sf, ob); err != nil {
+		if err := runAdhoc(*workload, *adhocSQL, *seed, *having, *noChecker, *stats, *bounded, *execMode, *cacheDir, ob); err != nil {
 			fmt.Fprintf(os.Stderr, "%v\n", err)
 			os.Exit(1)
 		}
@@ -470,7 +403,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown application %q (try -list)\n", *appName)
 		os.Exit(2)
 	}
-	if err := runApp(*appName, *seed, *having, *noChecker, *stats, *bounded, *execMode, sf, ob); err != nil {
+	if err := runApp(*appName, *seed, *having, *noChecker, *stats, *bounded, *execMode, *cacheDir, ob); err != nil {
 		fmt.Fprintf(os.Stderr, "%v\n", err)
 		os.Exit(1)
 	}

@@ -64,8 +64,8 @@
 //	        subpackages) and the opaque application simulations
 //	        (internal/workloads, examples/).
 //	GL010 — file I/O lives in the storage tiers: no library package
-//	        imports "os" except internal/storage (heap pages, WAL,
-//	        probe cache — durability is its charter) and
+//	        imports "os" except internal/storage (the durable probe
+//	        cache — durability is its charter) and
 //	        internal/service (the durable job log). Everything else
 //	        takes io.Reader/io.Writer or goes through those tiers, so
 //	        fsync discipline and crash recovery stay in one audited

@@ -604,9 +604,8 @@ func checkObsConstruct(fset *token.FileSet, p *pkg) []Finding {
 
 // --- GL010: file I/O lives in the storage tiers ---------------------
 
-// isStoragePkg reports whether the package is the disk-backed storage
-// tier — heap pages, WAL, durable probe cache — where file I/O is the
-// charter.
+// isStoragePkg reports whether the package is the storage tier — the
+// durable probe cache — where file I/O is the charter.
 func isStoragePkg(importPath string) bool {
 	return strings.Contains(importPath, "internal/storage")
 }

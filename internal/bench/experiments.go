@@ -26,11 +26,11 @@ type Options struct {
 	Quick bool
 	// Seed drives data generation and extraction randomness.
 	Seed int64
-	// ScratchDir is a writable directory for experiments that exercise
-	// the disk tier (storage). The caller owns its lifecycle; this
-	// package only passes it to storage.Open / OpenProbeCache (which
-	// create subdirectories as needed) and never touches the
-	// filesystem directly. Empty skips disk-backed measurements.
+	// ScratchDir is a writable directory for the storage experiment's
+	// probe-cache log, which requires it. The caller owns its
+	// lifecycle; this package only passes it to
+	// storage.OpenProbeCache (which creates subdirectories as needed)
+	// and never touches the filesystem directly.
 	ScratchDir string
 }
 

@@ -1,8 +1,7 @@
 package bench
 
-// Disk-tier measurements (the PR 9 subsystem): what the durable
-// cross-job probe cache saves a warm daemon, and what the paged heap
-// files cost relative to resident rows.
+// Durable probe-cache measurement: what the cross-job probe cache
+// saves a warm daemon.
 
 import (
 	"fmt"
@@ -11,10 +10,8 @@ import (
 	"time"
 
 	"unmasque/internal/core"
-	"unmasque/internal/sqldb"
 	"unmasque/internal/storage"
 	"unmasque/internal/workloads/registry"
-	"unmasque/internal/workloads/tpch"
 )
 
 // StorageExtractRow is one application's cold-vs-warm extraction pair
@@ -34,35 +31,16 @@ type StorageExtractRow struct {
 	SQLIdentical    bool    `json:"sql_identical"`
 }
 
-// StorageScanRow is one corpus-scale point of the scan-throughput
-// comparison: touching every row of a resident instance vs faulting
-// the same rows from paged heap files through the buffer pool.
-type StorageScanRow struct {
-	ScaleX         int     `json:"scale_x"`
-	Rows           int64   `json:"rows"`
-	MemMS          float64 `json:"mem_ms"`
-	DiskMS         float64 `json:"disk_ms"`
-	MemRowsPerSec  float64 `json:"mem_rows_per_sec"`
-	DiskRowsPerSec float64 `json:"disk_rows_per_sec"`
-	// Buffer-pool accounting for the disk scan.
-	PoolMisses int64 `json:"pool_misses"`
-	PoolHits   int64 `json:"pool_hits"`
-}
-
 // StorageRows is the storage experiment's snapshot payload.
 type StorageRows struct {
 	Extract []StorageExtractRow `json:"extract"`
-	Scan    []StorageScanRow    `json:"scan"`
 }
 
-// Storage measures the disk tier. Part one replays the daemon's
-// restart story: each enki application is extracted against a cold
-// durable probe cache, the cache is closed and reopened (the restart),
-// and the identical job runs again — the warm run must invoke the
-// application zero times and produce byte-identical SQL. Part two
-// scales a TPC-H instance ×1/×10/×100 and compares full-corpus row
-// scans of resident tables against lazy page faults through the
-// buffer pool. Requires Options.ScratchDir.
+// Storage replays the daemon's restart story: each enki application
+// is extracted against a cold durable probe cache, the cache is
+// closed and reopened (the restart), and the identical job runs
+// again — the warm run must invoke the application zero times and
+// produce byte-identical SQL. Requires Options.ScratchDir.
 func Storage(w io.Writer, opt Options) (*StorageRows, error) {
 	if opt.ScratchDir == "" {
 		return nil, fmt.Errorf("storage bench: Options.ScratchDir required")
@@ -105,28 +83,6 @@ func Storage(w io.Writer, opt Options) (*StorageRows, error) {
 	}
 	etbl.Note("the cache is closed and reopened between the runs; warm extractions must invoke the application zero times")
 	etbl.Render(w)
-
-	scales := []int{1, 10, 100}
-	if opt.Quick {
-		scales = []int{1, 10}
-	}
-	stbl := &TextTable{
-		Title:  "Scan Throughput — resident rows vs paged heap files (TPC-H corpus, scaled)",
-		Header: []string{"scale", "rows", "mem_ms", "disk_ms", "mem_rows_per_sec", "disk_rows_per_sec", "pool_miss/hit"},
-	}
-	for _, mult := range scales {
-		row, err := storageScan(filepath.Join(opt.ScratchDir, fmt.Sprintf("bench-heap-%dx", mult)), mult, opt.Seed)
-		if err != nil {
-			return nil, fmt.Errorf("storage bench scan %dx: %w", mult, err)
-		}
-		out.Scan = append(out.Scan, *row)
-		stbl.Add(fmt.Sprintf("%dx", row.ScaleX), row.Rows,
-			fmt.Sprintf("%.2f", row.MemMS), fmt.Sprintf("%.2f", row.DiskMS),
-			fmt.Sprintf("%.0f", row.MemRowsPerSec), fmt.Sprintf("%.0f", row.DiskRowsPerSec),
-			fmt.Sprintf("%d/%d", row.PoolMisses, row.PoolHits))
-	}
-	stbl.Note("the disk scan opens a fresh database per run, so every page faults through the buffer pool exactly once")
-	stbl.Render(w)
 	return out, nil
 }
 
@@ -155,82 +111,4 @@ func storageExtract(appName, cachePath string, seed int64) (*core.Extraction, fl
 		return nil, 0, err
 	}
 	return ext, float64(wall.Microseconds()) / 1000, nil
-}
-
-// storageScan bulk-loads a ×mult TPC-H instance into heap files, then
-// times touching every row twice: once on the resident source and once
-// through a freshly opened store-backed database whose tables fault in
-// page by page.
-func storageScan(dir string, mult int, seed int64) (*StorageScanRow, error) {
-	db := tpch.NewDatabase(tpch.ScaleTiny*tpch.Scale(mult), seed)
-	st, err := storage.Open(dir, storage.Options{})
-	if err != nil {
-		return nil, err
-	}
-	defer st.Close()
-	if err := st.BulkLoad(db); err != nil {
-		return nil, err
-	}
-
-	memStart := time.Now()
-	memRows, err := touchAllRows(db)
-	if err != nil {
-		return nil, err
-	}
-	memDur := time.Since(memStart)
-
-	disk, err := st.OpenDatabase()
-	if err != nil {
-		return nil, err
-	}
-	diskStart := time.Now()
-	diskRows, err := touchAllRows(disk)
-	if err != nil {
-		return nil, err
-	}
-	diskDur := time.Since(diskStart)
-	if memRows != diskRows {
-		return nil, fmt.Errorf("row count diverged: mem=%d disk=%d", memRows, diskRows)
-	}
-	ps := st.PoolStats()
-	return &StorageScanRow{
-		ScaleX:         mult,
-		Rows:           memRows,
-		MemMS:          float64(memDur.Microseconds()) / 1000,
-		DiskMS:         float64(diskDur.Microseconds()) / 1000,
-		MemRowsPerSec:  rate(memRows, memDur),
-		DiskRowsPerSec: rate(diskRows, diskDur),
-		PoolMisses:     ps.Misses,
-		PoolHits:       ps.Hits,
-	}, nil
-}
-
-// touchAllRows walks every value of every row of every table — the
-// full-corpus scan both storage modes are timed on. On a store-backed
-// database the first Table call per table faults its pages in through
-// the buffer pool.
-func touchAllRows(db *sqldb.Database) (int64, error) {
-	var rows int64
-	var sink int
-	for _, name := range db.TableNames() {
-		t, err := db.Table(name)
-		if err != nil {
-			return 0, err
-		}
-		for _, r := range t.SnapshotRows() {
-			rows++
-			for _, v := range r {
-				sink += len(v.S)
-			}
-		}
-	}
-	_ = sink
-	return rows, nil
-}
-
-func rate(rows int64, d time.Duration) float64 {
-	if d <= 0 {
-		return 0
-	}
-	return float64(rows) / d.Seconds()
 }

@@ -138,35 +138,23 @@ type Config struct {
 	// cache on (default), completed executions of E are keyed by a
 	// content fingerprint of the probe database, and a probe on a
 	// content-identical instance returns the recorded result without
-	// running E again.
+	// running E again. Only instances of at most maxMemCacheRows rows
+	// are kept in memory.
 	DisableRunCache bool
-
-	// CacheMaxRows bounds the instances eligible for run memoization:
-	// databases with more total rows than this are executed directly,
-	// since fingerprinting them would rival execution cost. Zero
-	// selects the default of 256 (generous for the paper's single-row
-	// probe databases, far below any realistic D_I).
-	CacheMaxRows int
 
 	// SharedCache, when set, attaches a durable cross-job probe cache
 	// (typically storage.ProbeCache.Namespace) as a second memoization
 	// tier: completed executions are persisted and consulted before any
 	// application invocation, including the from-clause rename probes,
 	// so a repeat extraction of the same (executable, instance) pair
-	// can finish with zero invocations. The shared tier requires the
+	// can finish with zero invocations. Instances above
+	// maxDiskCacheRows rows bypass it. The shared tier requires the
 	// in-session run cache for its single-flight discipline; with
 	// DisableRunCache set it is ignored. The namespace must uniquely
 	// identify the executable — fingerprints cover only database
 	// content, and two applications probed on identical instances
 	// produce different results.
 	SharedCache ProbeCache
-
-	// DiskCacheMaxRows bounds the instances eligible for the shared
-	// persistent tier. It is deliberately far above CacheMaxRows: disk
-	// entries cost no RAM and survive the job, so even the full initial
-	// instance's probe results are worth keeping. Zero selects the
-	// default of 1,000,000 rows.
-	DiskCacheMaxRows int
 
 	// Tracer, when set, receives the extraction's span tree: one span
 	// per pipeline phase and one per scheduled probe. The finished
@@ -255,18 +243,6 @@ func (c *Config) validate() error {
 	}
 	if c.Workers == 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.CacheMaxRows < 0 {
-		return fmt.Errorf("CacheMaxRows must be non-negative")
-	}
-	if c.CacheMaxRows == 0 {
-		c.CacheMaxRows = 256
-	}
-	if c.DiskCacheMaxRows < 0 {
-		return fmt.Errorf("DiskCacheMaxRows must be non-negative")
-	}
-	if c.DiskCacheMaxRows == 0 {
-		c.DiskCacheMaxRows = 1_000_000
 	}
 	if c.BoundedCheck < 0 {
 		return fmt.Errorf("BoundedCheck must be non-negative")

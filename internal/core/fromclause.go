@@ -96,7 +96,7 @@ func (s *Session) extractFromClause() error {
 // deterministic outcome — the missing-table fault of a positive
 // probe, or the negative probe's completed result — is.
 func (s *Session) runRenameProbe(pc *probeCtx, probe *sqldb.Database, table string) (*sqldb.Result, error) {
-	diskOK := s.cache != nil && s.shared != nil && probe.TotalRows() <= s.cfg.DiskCacheMaxRows
+	diskOK := s.cache != nil && s.shared != nil && probe.TotalRows() <= maxDiskCacheRows
 	if !diskOK {
 		start := s.cfg.Clock()
 		res, err := app.RunCtx(s.ctx, s.exe, probe, s.cfg.ProbeTimeout)

@@ -34,7 +34,7 @@ import (
 // the projection baseline re-run of untouched D_1, symmetric mutation
 // corners — skip E.Run entirely. Only databases small enough that
 // fingerprinting is far cheaper than execution are eligible
-// (Config.CacheMaxRows); timeouts are never cached.
+// (maxMemCacheRows); timeouts are never cached.
 //
 // The cache is single-flight: concurrent probes on the same
 // fingerprint elect one leader that runs E while the rest wait on the
@@ -141,6 +141,21 @@ func (s *Session) probeStep(worker, i int, fn func(pc *probeCtx, i int) error) e
 	return err
 }
 
+// Size gates of the two memoization tiers, in total database rows.
+// Fingerprinting costs time linear in the instance, so only instances
+// where hashing is far cheaper than running E are memoized at all.
+const (
+	// maxMemCacheRows bounds the instances whose outcomes stay resident
+	// in the in-session run cache: generous for the paper's
+	// single-row probe databases, far below any realistic D_I.
+	maxMemCacheRows = 256
+	// maxDiskCacheRows bounds the instances eligible for the shared
+	// persistent tier. It is deliberately far above maxMemCacheRows:
+	// disk entries cost no RAM and survive the job, so even the full
+	// initial instance's probe results are worth keeping.
+	maxDiskCacheRows = 1_000_000
+)
+
 // runCache memoizes completed application executions by database
 // fingerprint. It is shared by all workers of one Session and safe
 // for concurrent use.
@@ -187,7 +202,7 @@ func (c *runCache) reserve(fp sqldb.Fingerprint) (*cacheEntry, bool) {
 // complete records the leader's outcome and releases the waiters.
 // With retain=false the flight is withdrawn after completion: waiters
 // already holding the entry still read its outcome, but the result is
-// not kept resident — instances above CacheMaxRows are only memoized
+// not kept resident — instances above maxMemCacheRows are only memoized
 // in the persistent tier (disk, not RAM), and a later probe on the
 // same fingerprint re-reserves and reads the disk tier instead.
 func (c *runCache) complete(fp sqldb.Fingerprint, e *cacheEntry, res *sqldb.Result, err error, retain bool) {
@@ -213,15 +228,15 @@ func (c *runCache) abort(fp sqldb.Fingerprint, e *cacheEntry) {
 // deadline, serving content-identical probes from the two-tier cache:
 // the in-session single-flight map first, then (when a shared
 // persistent cache is attached) the durable cross-job tier. Large
-// databases bypass each tier independently — above Config.CacheMaxRows
-// results are not retained in RAM, above Config.DiskCacheMaxRows the
+// databases bypass each tier independently — above maxMemCacheRows
+// results are not retained in RAM, above maxDiskCacheRows the
 // persistent tier is not consulted either (hashing would rival
 // execution cost). Every path records exactly one ledger event: one
 // per completed E invocation, one per in-memory hit, one per
 // persistent-tier hit — which is what makes the ledger's event count
 // equal Stats.AppInvocations + Stats.CacheHits + Stats.DiskCacheHits.
 //
-// Determinism note: for instances within CacheMaxRows the flight is
+// Determinism note: for instances within maxMemCacheRows the flight is
 // retained, so the outcome multiset per fingerprint (one miss-or-disk
 // plus k hits) is identical for every worker count, exactly as
 // before. For larger instances served only by the persistent tier the
@@ -232,8 +247,8 @@ func (s *Session) runMemoized(pc *probeCtx, db *sqldb.Database) (*sqldb.Result, 
 		return s.runObserved(pc, db, obs.CacheOff, "")
 	}
 	rows := db.TotalRows()
-	memOK := rows <= s.cfg.CacheMaxRows
-	diskOK := s.shared != nil && rows <= s.cfg.DiskCacheMaxRows
+	memOK := rows <= maxMemCacheRows
+	diskOK := s.shared != nil && rows <= maxDiskCacheRows
 	if !memOK && !diskOK {
 		return s.runObserved(pc, db, obs.CacheBypass, "")
 	}

@@ -70,8 +70,8 @@ const (
 	// CacheMiss: no prior execution; E ran and the outcome was
 	// recorded (timeouts excepted).
 	CacheMiss = "miss"
-	// CacheBypass: the instance exceeded Config.CacheMaxRows, so E
-	// ran without fingerprinting.
+	// CacheBypass: the instance was too large for every attached
+	// memoization tier, so E ran without fingerprinting.
 	CacheBypass = "bypass"
 	// CacheOff: the run cache is disabled for the session.
 	CacheOff = "off"

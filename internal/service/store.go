@@ -66,8 +66,8 @@ type Recovery struct {
 // OpenStore opens (creating if absent) the job log at path, replays
 // its records, truncates any torn tail, and returns the store
 // positioned for appends. Torn-tail handling is the shared
-// storage.RecoverTail discipline (also behind the storage WAL and the
-// probe cache): a record is intact when its line is newline-terminated
+// storage.RecoverTail discipline (also behind the storage probe
+// cache): a record is intact when its line is newline-terminated
 // and parses as a job record; the first broken line ends the replay
 // and everything after it is truncated away — a crash mid-append can
 // only damage the end of an append-only file.

@@ -31,13 +31,6 @@ type Database struct {
 	// and clones inherit both the advice and the already-built index
 	// payloads for advised columns.
 	advice map[string][]int
-
-	// Lazy row backend (see tablestore.go). store is set once by
-	// AttachStore; pending names the tables whose rows have not been
-	// faulted in yet; storeErr is the sticky first load failure.
-	store    TableStore
-	pending  map[string]bool
-	storeErr error
 }
 
 // NewDatabase creates an empty database.
@@ -156,7 +149,6 @@ func (db *Database) DropTable(name string) error {
 		return fmt.Errorf("%w: %s", ErrNoSuchTable, name)
 	}
 	delete(db.tables, name)
-	delete(db.pending, name)
 	for i, n := range db.order {
 		if n == name {
 			db.order = append(db.order[:i], db.order[i+1:]...)
@@ -169,9 +161,6 @@ func (db *Database) DropTable(name string) error {
 // RenameTable renames a table — the primitive behind from-clause
 // probing (rename t to temp, run E, observe the error).
 func (db *Database) RenameTable(oldName, newName string) error {
-	if err := db.ensure(oldName); err != nil {
-		return err
-	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	oldName, newName = strings.ToLower(oldName), strings.ToLower(newName)
@@ -196,9 +185,6 @@ func (db *Database) RenameTable(oldName, newName string) error {
 
 // Table returns the named table.
 func (db *Database) Table(name string) (*Table, error) {
-	if err := db.ensure(name); err != nil {
-		return nil, err
-	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	t, ok := db.tables[strings.ToLower(name)]
@@ -226,7 +212,6 @@ func (db *Database) TableNames() []string {
 // TableNamesBySize lists tables ordered by decreasing row count (ties
 // by name), as used by sampling preprocessing and the halving policy.
 func (db *Database) TableNamesBySize() []string {
-	db.ensureAll() // degraded on store failure; next Table call reports it
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	names := append([]string(nil), db.order...)
@@ -261,7 +246,6 @@ func (db *Database) SchemaGraph() SchemaGraph {
 // this engine, matching the paper's "drop all RI constraints in the
 // silo" step.
 func (db *Database) Clone() *Database {
-	db.ensureAll() // clones are fully materialized; see AttachStore
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	out := db.newLike()
@@ -289,11 +273,6 @@ func (db *Database) CloneSchema() *Database {
 // the named subset; other tables stay empty. The extractor uses this
 // to carve the relevant part of D_I into the silo cheaply.
 func (db *Database) CloneTables(withRows map[string]bool) *Database {
-	for name := range withRows {
-		if withRows[name] {
-			db.ensure(name) // only row-carrying tables need fault-in
-		}
-	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	out := db.newLike()
@@ -311,7 +290,6 @@ func (db *Database) CloneTables(withRows map[string]bool) *Database {
 
 // TotalRows sums row counts over all tables.
 func (db *Database) TotalRows() int {
-	db.ensureAll() // degraded on store failure; next Table call reports it
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	n := 0

@@ -19,11 +19,6 @@ import (
 // as the differential-testing oracle. SetExecMode selects between
 // them; both produce identical results, column names and row order.
 func (db *Database) Execute(ctx context.Context, stmt *SelectStmt) (*Result, error) {
-	for _, raw := range stmt.From {
-		if err := db.ensure(raw); err != nil {
-			return nil, err
-		}
-	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	ex, err := newExecution(db, stmt)

@@ -63,7 +63,6 @@ func (c *canonWriter) writeValue(v Value) {
 // should check TotalRows first and skip fingerprinting large
 // instances where hashing would rival execution cost.
 func (db *Database) Fingerprint() Fingerprint {
-	db.ensureAll() // hash over resident rows; see tablestore.go
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	h := sha256.New()
@@ -112,7 +111,6 @@ func (f Fingerprint) Hex() string {
 // through to the original); use Clone for a probe that rewrites
 // values.
 func (db *Database) CloneShared() *Database {
-	db.ensureAll() // shared clones alias resident row slices
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	out := db.newLike()

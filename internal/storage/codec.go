@@ -8,8 +8,8 @@ import (
 	"unmasque/internal/sqldb"
 )
 
-// Row codec: the byte encoding of sqldb rows inside heap pages and
-// probe-cache records. The encoding is exact — every sqldb.Value
+// Row codec: the byte encoding of sqldb rows inside probe-cache
+// records. The encoding is exact — every sqldb.Value
 // round-trips bit-for-bit (floats via IEEE-754 bits, dates/bools via
 // their canonical int64 payloads) so that fingerprints and result
 // digests computed over loaded rows are byte-identical to the ones
@@ -99,22 +99,32 @@ func decodeValue(b []byte, off int) (sqldb.Value, int, error) {
 	return v, off, nil
 }
 
-// decodeRow decodes one full row record (as produced by appendRow).
-// The record must be exactly consumed.
-func decodeRow(b []byte) (sqldb.Row, error) {
-	if len(b) < 2 {
-		return nil, fmt.Errorf("storage: short row header: %w", ErrTornRecord)
+// decodeRowAt decodes one row record (as produced by appendRow) at
+// b[off:], returning the row and the offset just past it.
+func decodeRowAt(b []byte, off int) (sqldb.Row, int, error) {
+	if off+2 > len(b) {
+		return nil, 0, fmt.Errorf("storage: short row header at %d: %w", off, ErrTornRecord)
 	}
-	ncols := int(binary.LittleEndian.Uint16(b))
-	off := 2
+	ncols := int(binary.LittleEndian.Uint16(b[off:]))
+	off += 2
 	row := make(sqldb.Row, 0, ncols)
 	for i := 0; i < ncols; i++ {
 		v, next, err := decodeValue(b, off)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		row = append(row, v)
 		off = next
+	}
+	return row, off, nil
+}
+
+// decodeRow decodes one full row record. The record must be exactly
+// consumed.
+func decodeRow(b []byte) (sqldb.Row, error) {
+	row, off, err := decodeRowAt(b, 0)
+	if err != nil {
+		return nil, err
 	}
 	if off != len(b) {
 		return nil, fmt.Errorf("storage: %d trailing bytes after row: %w", len(b)-off, ErrTornRecord)

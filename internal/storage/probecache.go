@@ -23,9 +23,9 @@ import (
 // when their database fingerprints collide (same instance, different
 // app ⇒ different E output).
 //
-// Record framing is [u32 len][u32 crc][payload] — the same framing as
-// the WAL — recovered through RecoverTail, so a crash mid-append
-// costs at most the record being written. Payload:
+// Record framing is [u32 len][u32 crc][payload] (tail.go), recovered
+// through RecoverTail, so a crash mid-append costs at most the record
+// being written. Payload:
 //
 //	[32]  key = sha256(namespace ‖ 0x00 ‖ fingerprint)
 //	[u8]  error kind (0 none, 1 sqldb.ErrNoSuchTable, 2 app error)
@@ -290,22 +290,12 @@ func decodeCacheRecord(payload []byte) (cacheKey, *cacheValue, error) {
 	off += 4
 	rows := make([]sqldb.Row, 0, nrows)
 	for i := 0; i < nrows; i++ {
-		if off+2 > len(payload) {
-			return key, nil, fmt.Errorf("storage: short cache row: %w", ErrTornRecord)
-		}
-		rcols := int(binary.LittleEndian.Uint16(payload[off:]))
-		roff := off + 2
-		row := make(sqldb.Row, 0, rcols)
-		for c := 0; c < rcols; c++ {
-			v, next, err := decodeValue(payload, roff)
-			if err != nil {
-				return key, nil, err
-			}
-			row = append(row, v)
-			roff = next
+		row, next, err := decodeRowAt(payload, off)
+		if err != nil {
+			return key, nil, err
 		}
 		rows = append(rows, row)
-		off = roff
+		off = next
 	}
 	if off != len(payload) {
 		return key, nil, fmt.Errorf("storage: trailing cache bytes: %w", ErrTornRecord)

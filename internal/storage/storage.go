@@ -1,74 +1,25 @@
-// Package storage is the disk-backed tier of the engine: a paged,
-// WAL-protected table store plus a durable, fingerprint-keyed probe
-// cache shared across extraction jobs.
+// Package storage is the durable tier of the extraction pipeline: a
+// fingerprint-keyed probe cache shared across extraction jobs and
+// daemon restarts.
 //
-// The in-memory engine (internal/sqldb) caps database scale at RAM
-// and loses every memoized application execution when a job ends.
-// This package removes both limits without touching the hot paths:
-//
-//   - Table rows live in slotted heap pages (page.go, heap.go), one
-//     heap file per table, faulted into memory on first access
-//     through a fixed-size buffer pool with pin/unpin and LRU
-//     eviction (bufpool.go). sqldb sees the store only through the
-//     narrow TableStore interface, so the engine itself stays free of
-//     file I/O (lint rule GL010).
-//   - All heap mutations go through a write-ahead log (wal.go) with
-//     redo-only page-image records: a transaction's frames are
-//     appended and fsynced before any heap byte changes, so a crash
-//     at any point either replays the committed transaction on the
-//     next Open or leaves the previous state intact. Torn WAL tails
-//     are truncated with the same helper (tail.go) the service tier's
-//     JSONL job store uses.
-//   - The probe cache (probecache.go) persists completed application
-//     executions keyed by (namespace, sqldb.Fingerprint): result
-//     columns, rows and deterministic application errors survive
-//     daemon restarts and are shared across jobs and tenants, so two
-//     jobs extracting from the same executable pay for its probes
-//     once.
+// The in-memory run memoizer (internal/core) loses every recorded
+// application execution when a job ends. The probe cache
+// (probecache.go) persists completed executions keyed by (namespace,
+// sqldb.Fingerprint): result columns, rows and deterministic
+// application errors survive restarts and are shared across jobs and
+// tenants, so two jobs extracting from the same executable pay for
+// its probes once. Rows are encoded bit-exactly (codec.go), so a
+// replayed result digests exactly like the original. Records are
+// CRC-framed in one append-only log; a crash mid-append is recovered
+// by truncating the torn tail (tail.go), the same helper the service
+// tier's JSONL job store uses.
 //
 // Formats and the recovery protocol are documented in DESIGN.md §13.
 package storage
 
 import "errors"
 
-// PageSize is the fixed size of one heap page in bytes. 8 KiB keeps
-// the slot directory's 16-bit offsets comfortable and matches the
-// page size of the reference systems the ROADMAP names.
-const PageSize = 8192
-
-// Errors surfaced by the storage tier.
-var (
-	// ErrTornRecord marks a partially written record at the tail of an
-	// append-only file — the expected residue of a crash mid-append.
-	// RecoverTail converts it into a truncation, not a failure.
-	ErrTornRecord = errors.New("storage: torn record")
-
-	// ErrCorruptPage is returned when a heap page fails its magic,
-	// page-number or checksum validation.
-	ErrCorruptPage = errors.New("storage: corrupt page")
-
-	// ErrRowTooLarge is returned when a single encoded row cannot fit
-	// in one page (the format has no overflow chains).
-	ErrRowTooLarge = errors.New("storage: row exceeds page capacity")
-
-	// ErrNoTable is returned for operations on tables absent from the
-	// store catalog.
-	ErrNoTable = errors.New("storage: no such table")
-
-	// errCrashed is the outcome of an injected crash point (test
-	// hooks); it marks the store as unusable exactly as a kill would.
-	errCrashed = errors.New("storage: simulated crash")
-)
-
-// Options tunes a Store.
-type Options struct {
-	// PoolPages is the buffer pool capacity in pages (default 256,
-	// i.e. 2 MiB of cached heap data).
-	PoolPages int
-}
-
-func (o *Options) normalize() {
-	if o.PoolPages <= 0 {
-		o.PoolPages = 256
-	}
-}
+// ErrTornRecord marks a partially written record at the tail of an
+// append-only file — the expected residue of a crash mid-append.
+// RecoverTail converts it into a truncation, not a failure.
+var ErrTornRecord = errors.New("storage: torn record")

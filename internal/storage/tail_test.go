@@ -24,9 +24,9 @@ func tailFile(t *testing.T, data []byte) *os.File {
 	return f
 }
 
-// frameNext is the binary-framing callback the WAL and probe cache use.
+// frameNext is the binary-framing callback the probe cache uses.
 func frameNext(r *bufio.Reader) (int64, error) {
-	_, n, err := readFrame(r, maxWALPayload)
+	_, n, err := readFrame(r, maxCachePayload)
 	return n, err
 }
 
