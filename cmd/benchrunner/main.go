@@ -9,8 +9,8 @@
 //	benchrunner -exp equiv -quick -snapshot .   # also write BENCH_equiv.json
 //
 // Experiments: fig8, fig9, fig10, fig11, schemascale, enki, wilos,
-// rubis, tpcds, ablation, having, parallel, equiv, sqldb, trace,
-// service, obs, storage, all.
+// rubis, tpcds, ablation, having, parallel, equiv, trace, service,
+// obs, storage, all.
 package main
 
 import (
@@ -25,7 +25,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment to run (fig8|fig9|fig10|fig11|schemascale|enki|wilos|rubis|tpcds|ablation|having|parallel|equiv|sqldb|trace|service|obs|storage|all)")
+		exp      = flag.String("exp", "all", "experiment to run (fig8|fig9|fig10|fig11|schemascale|enki|wilos|rubis|tpcds|ablation|having|parallel|equiv|trace|service|obs|storage|all)")
 		quick    = flag.Bool("quick", false, "reduced scales and budgets (~1 minute total)")
 		seed     = flag.Int64("seed", 1, "generation and extraction seed")
 		snapshot = flag.String("snapshot", "", "directory to write BENCH_<exp>.json row snapshots into")
@@ -52,7 +52,6 @@ func main() {
 		"having":      func() (any, error) { return bench.Having(os.Stdout, opt) },
 		"parallel":    func() (any, error) { return bench.Parallel(os.Stdout, opt) },
 		"equiv":       func() (any, error) { return bench.Equiv(os.Stdout, opt) },
-		"sqldb":       func() (any, error) { return bench.SqldbEngine(os.Stdout, opt) },
 		"trace":       func() (any, error) { return bench.TraceProfile(os.Stdout, opt) },
 		"service":     func() (any, error) { return bench.Service(os.Stdout, opt) },
 		"obs":         func() (any, error) { return bench.Obs(os.Stdout, opt) },
@@ -70,7 +69,7 @@ func main() {
 			return bench.Storage(os.Stdout, sopt)
 		},
 	}
-	order := []string{"fig8", "fig9", "fig10", "fig11", "schemascale", "enki", "wilos", "rubis", "tpcds", "ablation", "having", "parallel", "equiv", "sqldb", "trace", "service", "obs", "storage"}
+	order := []string{"fig8", "fig9", "fig10", "fig11", "schemascale", "enki", "wilos", "rubis", "tpcds", "ablation", "having", "parallel", "equiv", "trace", "service", "obs", "storage"}
 
 	var selected []string
 	if *exp == "all" {

@@ -242,7 +242,7 @@ func attachCache(cacheDir string, cfg *core.Config, ns string) (func(), error) {
 }
 
 // runApp unmasks one registered application.
-func runApp(appName string, seed int64, having, noChecker, stats bool, bounded int, execMode, cacheDir string, ob *obsFlags) error {
+func runApp(appName string, seed int64, having, noChecker, stats bool, bounded int, cacheDir string, ob *obsFlags) error {
 	exe, db, err := registry.Build(appName, seed)
 	if err != nil {
 		return fmt.Errorf("setup: %w", err)
@@ -252,7 +252,6 @@ func runApp(appName string, seed int64, having, noChecker, stats bool, bounded i
 	cfg.ExtractHaving = having || strings.Contains(appName, "/H")
 	cfg.SkipChecker = noChecker
 	cfg.BoundedCheck = bounded
-	cfg.ExecMode = execMode
 	closeCache, err := attachCache(cacheDir, &cfg, storage.AppNamespace(appName, seed))
 	if err != nil {
 		return err
@@ -280,7 +279,7 @@ func runApp(appName string, seed int64, having, noChecker, stats bool, bounded i
 // runAdhoc hides an arbitrary user query inside an executable over
 // the chosen workload database and unmasks it — a self-demo of the
 // full loop on any EQC query the user types.
-func runAdhoc(workload, sql string, seed int64, having, noChecker, stats bool, bounded int, execMode, cacheDir string, ob *obsFlags) error {
+func runAdhoc(workload, sql string, seed int64, having, noChecker, stats bool, bounded int, cacheDir string, ob *obsFlags) error {
 	db, plant, err := registry.AdhocDatabase(workload, seed)
 	if err != nil {
 		return err
@@ -297,7 +296,6 @@ func runAdhoc(workload, sql string, seed int64, having, noChecker, stats bool, b
 	cfg.ExtractHaving = having
 	cfg.SkipChecker = noChecker
 	cfg.BoundedCheck = bounded
-	cfg.ExecMode = execMode
 	// The cache namespace must identify the executable; ad-hoc SQL is
 	// the executable, so its digest (plus the workload whose generated
 	// instance it runs over) is the identity.
@@ -334,7 +332,6 @@ func main() {
 		seed       = flag.Int64("seed", 1, "data generation / extraction seed")
 		noChecker  = flag.Bool("no-checker", false, "skip the final verification module")
 		bounded    = flag.Int("bounded-check", 0, "mutant-prune the checker with a bounded equivalence proof at k rows/table (0 = classical suite)")
-		execMode   = flag.String("exec", "", "sqldb execution engine for probes: vector (default) or tree (the differential-testing oracle)")
 		cacheDir   = flag.String("cache-dir", "", "durable probe-cache directory; repeat extractions of the same app+seed reuse recorded application outcomes")
 		tracePath  = flag.String("trace", "", "write the probe trace (run header, spans, ledger) as JSONL to this file")
 		chromePath = flag.String("chrome", "", "write the Chrome trace-event export to this file (with -app/-sql, or as -to-chrome output)")
@@ -381,7 +378,7 @@ func main() {
 	ob := &obsFlags{tracePath: *tracePath, chromePath: *chromePath, metrics: *metrics}
 
 	if *adhocSQL != "" {
-		if err := runAdhoc(*workload, *adhocSQL, *seed, *having, *noChecker, *stats, *bounded, *execMode, *cacheDir, ob); err != nil {
+		if err := runAdhoc(*workload, *adhocSQL, *seed, *having, *noChecker, *stats, *bounded, *cacheDir, ob); err != nil {
 			fmt.Fprintf(os.Stderr, "%v\n", err)
 			os.Exit(1)
 		}
@@ -403,7 +400,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown application %q (try -list)\n", *appName)
 		os.Exit(2)
 	}
-	if err := runApp(*appName, *seed, *having, *noChecker, *stats, *bounded, *execMode, *cacheDir, ob); err != nil {
+	if err := runApp(*appName, *seed, *having, *noChecker, *stats, *bounded, *cacheDir, ob); err != nil {
 		fmt.Fprintf(os.Stderr, "%v\n", err)
 		os.Exit(1)
 	}

@@ -21,8 +21,10 @@ import (
 // non-leading conjuncts) across every replay. Phases that execute a
 // query only once or twice per instance (compareOn) deliberately do
 // NOT advise: an advised range index costs a sort to build, which
-// only repeated probes pay back. The tree oracle ignores advice
-// entirely, so extraction results are identical in both modes.
+// only repeated probes pay back. Advice changes only the access paths
+// the engine picks, never a result: sqldb's differential tests hold
+// advised executions to its test-only tree-walking oracle, which
+// ignores advice entirely.
 
 // adviseProbeColumns declares cols as repeatedly probed on the working
 // database; clones taken during the advising phase inherit pre-built

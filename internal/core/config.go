@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"unmasque/internal/obs"
-	"unmasque/internal/sqldb"
 )
 
 // Config tunes the extraction pipeline. The zero value is NOT valid;
@@ -112,14 +111,6 @@ type Config struct {
 	// extracts having predicates (with the paper's restriction that
 	// filter and having attribute sets are disjoint).
 	ExtractHaving bool
-
-	// ExecMode selects the sqldb execution engine for every probe the
-	// pipeline runs: "vector" (default; columnar batches, secondary
-	// hash indexes, hash-join build reuse) or "tree" (the original
-	// per-row engine, kept as the differential-testing oracle). The
-	// extracted SQL is identical under both — only probe wall time
-	// changes.
-	ExecMode string
 
 	// Seed drives all randomized choices, making extraction
 	// deterministic for a given input.
@@ -247,11 +238,6 @@ func (c *Config) validate() error {
 	if c.BoundedCheck < 0 {
 		return fmt.Errorf("BoundedCheck must be non-negative")
 	}
-	if mode, err := sqldb.ParseExecMode(strings.ToLower(c.ExecMode)); err != nil {
-		return err
-	} else {
-		c.ExecMode = mode.String()
-	}
 	if c.Clock == nil {
 		c.Clock = time.Now
 	}
@@ -337,16 +323,12 @@ type Stats struct {
 	MutantsProvenEquivalent int
 	MutantsUnresolved       int
 
-	// ExecMode records the sqldb engine the extraction's probes ran on
-	// (Config.ExecMode after defaulting).
-	ExecMode string
-
 	// Engine counters for this extraction (deltas of the silo's shared
 	// sqldb.EngineStats between start and end — the provided database
 	// may be reused across extractions, so absolutes would conflate
 	// runs): secondary-index builds and lookup hits, hash-join build
 	// sides reused from cache, and column batches gathered by the
-	// vectorized scan. All zero under ExecMode "tree".
+	// vectorized scan.
 	IndexBuilds      int64
 	IndexHits        int64
 	RangeBuilds      int64
@@ -400,14 +382,9 @@ func (s *Stats) String() string {
 			s.BoundedBound, s.MutantsTotal, s.MutantsKilledStatic, s.MutantsKilledWitness,
 			s.MutantsProvenEquivalent, s.MutantsUnresolved)
 	}
-	if s.ExecMode != "" {
-		line += fmt.Sprintf(" exec=%s", s.ExecMode)
-		if s.ExecMode == "vector" {
-			line += fmt.Sprintf(" (index builds=%d hits=%d range builds=%d hits=%d join-reuse=%d batches=%d)",
-				s.IndexBuilds, s.IndexHits, s.RangeBuilds, s.RangeHits,
-				s.JoinBuildsReused, s.VectorBatches)
-		}
-	}
+	line += fmt.Sprintf(" engine (index builds=%d hits=%d range builds=%d hits=%d join-reuse=%d batches=%d)",
+		s.IndexBuilds, s.IndexHits, s.RangeBuilds, s.RangeHits,
+		s.JoinBuildsReused, s.VectorBatches)
 	return line
 }
 

@@ -8,6 +8,7 @@ package core_test
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -18,7 +19,7 @@ import (
 	"unmasque/internal/obs"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite golden trace files")
+var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 // tracedExtract runs one extraction with full observability and
 // returns the extraction plus its serialized trace.
@@ -64,34 +65,41 @@ func TestProbeLedgerGoldenAcrossWorkers(t *testing.T) {
 		t.Fatalf("stripped traces differ between 1 and 8 workers:\n%s", firstDiff(s1, s8))
 	}
 
-	golden := filepath.Join("testdata", "ledger_golden.jsonl")
+	checkGolden(t, filepath.Join("testdata", "ledger_golden.jsonl"), s1)
+}
+
+// checkGolden compares got with the golden file at path, rewriting
+// the file first when the test runs with -update.
+func checkGolden(t *testing.T, path string, got []byte) {
+	t.Helper()
 	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(golden, s1, 0o644); err != nil {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	want, err := os.ReadFile(golden)
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("%v (run with -update to regenerate)", err)
 	}
-	if !bytes.Equal(s1, want) {
-		t.Fatalf("trace deviates from golden file (run with -update if the pipeline changed):\n%s",
-			firstDiff(s1, want))
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s deviates from the golden file (run with -update if the pipeline changed):\n%s",
+			path, firstDiff(got, want))
 	}
 }
 
-// firstDiff renders the first differing line of two JSONL blobs.
+// firstDiff renders the first differing line of two text blobs,
+// numbering lines from 1.
 func firstDiff(a, b []byte) string {
 	la, lb := strings.Split(string(a), "\n"), strings.Split(string(b), "\n")
 	for i := 0; i < len(la) && i < len(lb); i++ {
 		if la[i] != lb[i] {
-			return "line " + string(rune('0'+i%10)) + ":\n" + la[i] + "\nvs\n" + lb[i]
+			return fmt.Sprintf("line %d:\n%s\nvs\n%s", i+1, la[i], lb[i])
 		}
 	}
-	return "line counts differ"
+	return fmt.Sprintf("line counts differ (%d vs %d)", len(la), len(lb))
 }
 
 // TestLedgerCountInvariant: the ledger records exactly one event per
@@ -249,7 +257,7 @@ func TestPhaseHistogramsAndEngineBridge(t *testing.T) {
 	if got := m.Counter("engine_vector_batches").Value(); got != ext.Stats.VectorBatches {
 		t.Errorf("engine_vector_batches metric %d, stats %d", got, ext.Stats.VectorBatches)
 	}
-	if ext.Stats.ExecMode == "vector" && ext.Stats.VectorBatches == 0 {
+	if ext.Stats.VectorBatches == 0 {
 		t.Error("vector engine reported zero batches — bridge has nothing to measure")
 	}
 

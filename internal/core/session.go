@@ -157,14 +157,8 @@ func ExtractContext(ctx context.Context, exe app.Executable, di *sqldb.Database,
 		s.cache = newRunCache()
 		s.shared = cfg.SharedCache
 	}
-	// Select the probe execution engine. The silo and every probe
-	// clone inherit the mode (and share di's engine counters), so one
-	// knob switches the whole extraction.
-	mode, err := sqldb.ParseExecMode(cfg.ExecMode)
-	if err != nil {
-		return nil, moduleErr("config", err)
-	}
-	di.SetExecMode(mode)
+	// The silo and every probe clone share di's engine counters, so
+	// their deltas cover the whole extraction.
 	engineStart := di.EngineCounters()
 	start := s.cfg.Clock()
 	s.stats.RowsInitial = di.TotalRows()
@@ -279,7 +273,6 @@ func ExtractContext(ctx context.Context, exe app.Executable, di *sqldb.Database,
 	}
 	// Engine counters are deltas over this extraction: di (and its
 	// shared counters) may serve many sequential extractions.
-	s.stats.ExecMode = mode.String()
 	engineEnd := di.EngineCounters()
 	s.stats.IndexBuilds = engineEnd.IndexBuilds - engineStart.IndexBuilds
 	s.stats.IndexHits = engineEnd.IndexHits - engineStart.IndexHits
@@ -300,8 +293,7 @@ func ExtractContext(ctx context.Context, exe app.Executable, di *sqldb.Database,
 	ext.Trace = s.tracer.Events()
 	s.logger.Info("extraction complete",
 		"total_ms", float64(s.stats.Total)/float64(time.Millisecond),
-		"invocations", s.stats.AppInvocations,
-		"exec_mode", s.stats.ExecMode)
+		"invocations", s.stats.AppInvocations)
 	return ext, nil
 }
 

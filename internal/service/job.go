@@ -109,15 +109,13 @@ type Result struct {
 	MutantsProven int `json:"mutants_proven,omitempty"`
 
 	// Execution-engine accounting (core.Stats deltas for this job's
-	// extraction): which sqldb engine probes ran on and, under the
-	// vectorized engine, its index/join-reuse/batch counters.
-	ExecMode         string `json:"exec_mode,omitempty"`
-	IndexBuilds      int64  `json:"index_builds,omitempty"`
-	IndexHits        int64  `json:"index_hits,omitempty"`
-	RangeBuilds      int64  `json:"range_builds,omitempty"`
-	RangeHits        int64  `json:"range_hits,omitempty"`
-	JoinBuildsReused int64  `json:"join_builds_reused,omitempty"`
-	VectorBatches    int64  `json:"vector_batches,omitempty"`
+	// extraction): index, join-reuse and batch counters.
+	IndexBuilds      int64 `json:"index_builds,omitempty"`
+	IndexHits        int64 `json:"index_hits,omitempty"`
+	RangeBuilds      int64 `json:"range_builds,omitempty"`
+	RangeHits        int64 `json:"range_hits,omitempty"`
+	JoinBuildsReused int64 `json:"join_builds_reused,omitempty"`
+	VectorBatches    int64 `json:"vector_batches,omitempty"`
 }
 
 // view renders the job snapshot; the caller holds the Manager lock.
@@ -154,7 +152,6 @@ func (j *Job) result() Result {
 		MutantsKilled:  j.stats.MutantsKilledStatic + j.stats.MutantsKilledWitness,
 		MutantsProven:  j.stats.MutantsProvenEquivalent,
 
-		ExecMode:         j.stats.ExecMode,
 		IndexBuilds:      j.stats.IndexBuilds,
 		IndexHits:        j.stats.IndexHits,
 		RangeBuilds:      j.stats.RangeBuilds,

@@ -1,9 +1,11 @@
 package service_test
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"unmasque/internal/core"
@@ -144,5 +146,74 @@ func TestStoreUnterminatedLineIsTorn(t *testing.T) {
 	}
 	if rec.MaxID != 1 || len(rec.Jobs) != 1 {
 		t.Errorf("unterminated record survived replay: %+v", rec)
+	}
+}
+
+// TestOpenStoreReadsOlderJobLog pins job-log compatibility across
+// core.Stats field changes. testdata/jobs_parent.jsonl was written by
+// a daemon whose Stats still carried an ExecMode field: one done job
+// with stats, one failed job, one job interrupted while running and
+// one still queued behind it when the process was killed. Unknown
+// fields must decode silently; a record that failed to decode would
+// be treated as a torn tail and truncated along with every later job.
+func TestOpenStoreReadsOlderJobLog(t *testing.T) {
+	orig, err := os.ReadFile(filepath.Join("testdata", "jobs_parent.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(orig, []byte(`"ExecMode":"vector"`)) {
+		t.Fatal("fixture no longer carries the removed Stats field")
+	}
+	path := filepath.Join(t.TempDir(), "jobs.jsonl")
+	if err := os.WriteFile(path, orig, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, rec, err := service.OpenStore(context.Background(), path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if rec.TornBytes != 0 || rec.MaxID != 4 || len(rec.Jobs) != 4 {
+		t.Fatalf("recovered torn=%d max=%d jobs=%d, want 0, 4, 4", rec.TornBytes, rec.MaxID, len(rec.Jobs))
+	}
+	want := []struct {
+		app   string
+		state service.State
+	}{
+		{"enki/posts_by_tag", service.StateDone},
+		{"tpch/H3", service.StateFailed},
+		{"tpch/Q10", service.StateRunning},
+		{"tpch/Q6", service.StateQueued},
+	}
+	for i, w := range want {
+		j := rec.Jobs[i]
+		if j.ID != int64(i+1) || j.Spec.App != w.app || j.State != w.state {
+			t.Errorf("job %d: recovered id=%d app=%q state=%s, want id=%d app=%q state=%s",
+				i+1, j.ID, j.Spec.App, j.State, i+1, w.app, w.state)
+		}
+	}
+
+	done := rec.Jobs[0]
+	if !strings.HasPrefix(done.SQL, "select posts.id, posts.title, posts.published_at\nfrom posts, tags, taggings") {
+		t.Errorf("done job SQL not recovered: %q", done.SQL)
+	}
+	s := done.Stats
+	if s.AppInvocations != 91 || s.CacheHits != 6 || s.CacheMisses != 85 || s.Workers != 2 ||
+		s.RowsInitial != 878 || s.RowsFinal != 3 ||
+		s.IndexBuilds != 6 || s.RangeBuilds != 6 || s.VectorBatches != 8 {
+		t.Errorf("done job stats not recovered: %+v", s)
+	}
+	if failed := rec.Jobs[1]; !strings.Contains(failed.Err, "results differ") || failed.SQL != "" {
+		t.Errorf("failed job recovered err=%q sql=%q", failed.Err, failed.SQL)
+	}
+
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, orig) {
+		t.Errorf("OpenStore rewrote the log: %d bytes before, %d after", len(orig), len(after))
 	}
 }

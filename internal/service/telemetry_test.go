@@ -144,9 +144,6 @@ func TestResultEngineCounters(t *testing.T) {
 	if err := json.Unmarshal(body, &res); err != nil {
 		t.Fatal(err)
 	}
-	if res.ExecMode != "vector" {
-		t.Errorf("exec_mode = %q, want vector (the default engine)", res.ExecMode)
-	}
 	if res.VectorBatches == 0 {
 		t.Errorf("vector_batches = 0 on a vector-engine job:\n%s", body)
 	}

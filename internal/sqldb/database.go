@@ -22,7 +22,6 @@ type Database struct {
 	tables map[string]*Table
 	order  []string // creation order, for deterministic iteration
 
-	mode   ExecMode     // which engine Execute dispatches to
 	estats *EngineStats // engine counters, shared with every clone
 
 	// advice maps table name -> local column indexes the caller has
@@ -38,11 +37,10 @@ func NewDatabase() *Database {
 	return &Database{tables: map[string]*Table{}, estats: &EngineStats{}}
 }
 
-// newLike creates an empty database inheriting db's exec mode, index
-// advice and (shared) engine counters — the base of every clone
-// flavour.
+// newLike creates an empty database inheriting db's index advice and
+// (shared) engine counters — the base of every clone flavour.
 func (db *Database) newLike() *Database {
-	out := &Database{tables: map[string]*Table{}, mode: db.mode, estats: db.estats}
+	out := &Database{tables: map[string]*Table{}, estats: db.estats}
 	if len(db.advice) > 0 {
 		out.advice = make(map[string][]int, len(db.advice))
 		for t, cols := range db.advice {
@@ -110,13 +108,10 @@ func (db *Database) ClearIndexAdvice() {
 }
 
 // shareAdvisedLocked pre-installs index payloads for advised columns
-// on a freshly cloned table. Tree mode skips this: the oracle engine
-// never consults indexes, and its counters must stay free of vector
-// work. Callers hold db.mu (read) and src belongs to db.
+// on a freshly cloned table, so a probe fan-out over many clones pays
+// each advised index build once. Callers hold db.mu (read) and src
+// belongs to db.
 func (db *Database) shareAdvisedLocked(name string, src, dst *Table) {
-	if db.mode != ExecVector {
-		return
-	}
 	if cols := db.advice[name]; len(cols) > 0 {
 		src.shareIndexes(dst, cols, db.estats)
 	}

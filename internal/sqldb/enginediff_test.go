@@ -2,10 +2,10 @@ package sqldb_test
 
 // enginediff_test.go — the differential harness locking the
 // vectorized engine to the tree-walking oracle: every corpus query,
-// table-driven edge cases and fuzz-generated statements execute under
-// both exec modes and must produce identical digests, column names
-// and ordered row renderings (and identical error *presence* when
-// they fail).
+// table-driven edge cases and fuzz-generated statements execute on
+// the oracle (oracle_test.go) and on Execute, and must produce
+// identical digests, column names and ordered row renderings (and
+// identical error *presence* when they fail).
 
 import (
 	"context"
@@ -21,13 +21,12 @@ import (
 	"unmasque/internal/workloads/tpch"
 )
 
-// compareEngines executes stmt under both exec modes on db and
-// reports a non-empty divergence description if the engines disagree.
+// compareEngines executes stmt on db under the tree-walking oracle
+// and under Execute, and reports a non-empty divergence description
+// if the engines disagree.
 func compareEngines(db *sqldb.Database, stmt *sqldb.SelectStmt) string {
 	ctx := context.Background()
-	db.SetExecMode(sqldb.ExecTree)
-	rt, errT := db.Execute(ctx, stmt)
-	db.SetExecMode(sqldb.ExecVector)
+	rt, errT := db.ExecuteOracle(ctx, stmt)
 	rv, errV := db.Execute(ctx, stmt)
 	if (errT != nil) != (errV != nil) {
 		return fmt.Sprintf("error presence diverges: tree=%v vector=%v", errT, errV)

@@ -7,8 +7,8 @@ import (
 
 // exec_vector.go — the vectorized, index-assisted execution engine.
 //
-// runVector executes the same compiled plan as runTree but replaces
-// every stage:
+// runVector executes the compiled plan that newExecution builds,
+// stage by stage:
 //
 //   - scan+filter works on selections ([]int32 row ids) narrowed by
 //     vectorized predicate evaluation over column batches, with
@@ -22,9 +22,10 @@ import (
 //     finishVector, with a top-K heap short-circuiting ordered
 //     limited queries.
 //
-// The tree engine is the differential oracle: every stage here must
-// match it on digests, column names, row order and error presence
-// (enginediff_test.go). The join replicates the tree engine's greedy
+// The tree engine, a per-row walker kept in oracle_test.go, is the
+// differential oracle: every stage here must match it on digests,
+// column names, row order and error presence (enginediff_test.go).
+// The join replicates the tree engine's greedy
 // order (smallest fragment first, from-clause tie-break) and emission
 // order (probe order x bucket order), so row order matches too.
 //

@@ -405,9 +405,9 @@ func diffTrial(t *testing.T, rng *rand.Rand) int {
 }
 
 // vecTrial generates one boolean WHERE expression, plants it in a
-// single-table statement over generated rows, and executes it under
-// both exec modes: the vectorized evaluator must agree with the tree
-// walker on digests and on error presence. This is the third corner
+// single-table statement over generated rows, and executes it on the
+// tree-walking oracle and on Execute: the vectorized evaluator must
+// agree with the tree walker on digests and on error presence. This is the third corner
 // of the differential triangle (tree vs oracle vs vector).
 func vecTrial(t *testing.T, rng *rand.Rand) {
 	t.Helper()
@@ -428,9 +428,7 @@ func vecTrial(t *testing.T, rng *rand.Rand) {
 		Where: e,
 	}
 	ctx := context.Background()
-	db.SetExecMode(ExecTree)
-	rt, errT := db.Execute(ctx, stmt)
-	db.SetExecMode(ExecVector)
+	rt, errT := db.executeOracle(ctx, stmt)
 	rv, errV := db.Execute(ctx, stmt)
 	if (errT != nil) != (errV != nil) {
 		t.Fatalf("error presence divergence on where %s\ntree: %v\nvector: %v", e, errT, errV)

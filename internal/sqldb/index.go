@@ -1,58 +1,9 @@
 package sqldb
 
 import (
-	"fmt"
 	"sort"
 	"sync/atomic"
 )
-
-// ExecMode selects which execution engine Execute uses.
-type ExecMode uint8
-
-const (
-	// ExecVector is the default engine: columnar batches, vectorized
-	// pushdown predicates, secondary hash indexes and hash-join
-	// build-side reuse (exec_vector.go).
-	ExecVector ExecMode = iota
-	// ExecTree is the original per-row tree-walking engine, kept as
-	// the oracle for the differential harness (enginediff_test.go).
-	ExecTree
-)
-
-func (m ExecMode) String() string {
-	if m == ExecTree {
-		return "tree"
-	}
-	return "vector"
-}
-
-// ParseExecMode parses a -exec / Config.ExecMode knob value. The
-// empty string means the default (vector).
-func ParseExecMode(s string) (ExecMode, error) {
-	switch s {
-	case "", "vector":
-		return ExecVector, nil
-	case "tree":
-		return ExecTree, nil
-	default:
-		return ExecVector, fmt.Errorf("unknown exec mode %q (want \"vector\" or \"tree\")", s)
-	}
-}
-
-// SetExecMode selects the execution engine for this database handle.
-// Clones made afterwards inherit the mode.
-func (db *Database) SetExecMode(m ExecMode) {
-	db.mu.Lock()
-	db.mode = m
-	db.mu.Unlock()
-}
-
-// ExecMode reports the engine this database executes with.
-func (db *Database) ExecMode() ExecMode {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.mode
-}
 
 // EngineStats aggregates engine-internal event counters. One instance
 // is shared by a database and every clone derived from it, so the
@@ -65,8 +16,7 @@ type EngineStats struct {
 	RangeHits     atomic.Int64 // range probes served by an index
 	JoinBuilds    atomic.Int64 // hash-join build sides constructed
 	JoinReuses    atomic.Int64 // build sides served from the cache
-	VectorQueries atomic.Int64 // Execute calls on the vector engine
-	TreeQueries   atomic.Int64 // Execute calls on the tree engine
+	VectorQueries atomic.Int64 // Execute calls
 	VectorBatches atomic.Int64 // column batches materialized
 	CtxTicks      atomic.Int64 // cancellation cost-model ticks charged
 }
@@ -80,7 +30,6 @@ type EngineCounters struct {
 	JoinBuilds    int64
 	JoinReuses    int64
 	VectorQueries int64
-	TreeQueries   int64
 	VectorBatches int64
 	CtxTicks      int64
 }
@@ -98,7 +47,6 @@ func (db *Database) EngineCounters() EngineCounters {
 		JoinBuilds:    s.JoinBuilds.Load(),
 		JoinReuses:    s.JoinReuses.Load(),
 		VectorQueries: s.VectorQueries.Load(),
-		TreeQueries:   s.TreeQueries.Load(),
 		VectorBatches: s.VectorBatches.Load(),
 		CtxTicks:      s.CtxTicks.Load(),
 	}

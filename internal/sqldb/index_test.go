@@ -304,44 +304,6 @@ func TestJoinBuildCache(t *testing.T) {
 	}
 }
 
-// TestExecModeKnob pins the mode surface: parsing, stringing, the
-// database getter/setter and counter snapshots.
-func TestExecModeKnob(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want ExecMode
-		ok   bool
-	}{
-		{"", ExecVector, true},
-		{"vector", ExecVector, true},
-		{"tree", ExecTree, true},
-		{"columnar", ExecVector, false},
-	} {
-		got, err := ParseExecMode(tc.in)
-		if (err == nil) != tc.ok || got != tc.want {
-			t.Fatalf("ParseExecMode(%q) = %v, %v; want %v, ok=%v", tc.in, got, err, tc.want, tc.ok)
-		}
-	}
-	if ExecVector.String() != "vector" || ExecTree.String() != "tree" {
-		t.Fatalf("mode strings: %q/%q", ExecVector, ExecTree)
-	}
-	db := NewDatabase()
-	if db.ExecMode() != ExecVector {
-		t.Fatal("default mode is not vector")
-	}
-	db.SetExecMode(ExecTree)
-	if db.ExecMode() != ExecTree {
-		t.Fatal("SetExecMode did not take")
-	}
-	if db.Clone().ExecMode() != ExecTree {
-		t.Fatal("clone did not inherit the exec mode")
-	}
-	c := db.EngineCounters()
-	if c.IndexBuilds != 0 || c.VectorQueries != 0 {
-		t.Fatalf("fresh database has nonzero counters: %+v", c)
-	}
-}
-
 // TestBuildCacheColumnInvalidation pins invalidateColumn against the
 // build cache: mutating a key column drops the builds using it,
 // mutating another column keeps them.
@@ -411,7 +373,13 @@ func TestExecutionSurvivesCloneStmt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []ExecMode{ExecTree, ExecVector} {
+	for _, eng := range []struct {
+		name string
+		run  func(*execution, context.Context, *int) (*Result, error)
+	}{
+		{"tree", (*execution).runTree},
+		{"vector", (*execution).runVector},
+	} {
 		ex, err := newExecution(db, stmt)
 		if err != nil {
 			t.Fatal(err)
@@ -420,18 +388,13 @@ func TestExecutionSurvivesCloneStmt(t *testing.T) {
 		// pointer, so any pointer-keyed resolution state is useless
 		// and name-based resolution must carry the run.
 		ex.stmt = CloneStmt(stmt)
-		var got *Result
 		var ticks int
-		if mode == ExecTree {
-			got, err = ex.runTree(ctx, &ticks)
-		} else {
-			got, err = ex.runVector(ctx, &ticks)
-		}
+		got, err := eng.run(ex, ctx, &ticks)
 		if err != nil {
-			t.Fatalf("%s: execution over cloned statement failed: %v", mode, err)
+			t.Fatalf("%s: execution over cloned statement failed: %v", eng.name, err)
 		}
 		if got.Digest() != want.Digest() {
-			t.Fatalf("%s: cloned-statement digest %s != original %s", mode, got.Digest().Hex(), want.Digest().Hex())
+			t.Fatalf("%s: cloned-statement digest %s != original %s", eng.name, got.Digest().Hex(), want.Digest().Hex())
 		}
 	}
 }

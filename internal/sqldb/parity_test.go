@@ -1,11 +1,11 @@
 package sqldb_test
 
 // parity_test.go — cross-engine invariants beyond result equality:
-// the cancellation cost model must charge the same tick total in both
-// exec modes (so timeouts behave identically regardless of engine or
-// index cache state), and ORDER BY tie-breaking must be byte-stable
-// across engines, repeated runs, concurrency, and the top-K
-// short-circuit.
+// the cancellation cost model must charge the same tick total on the
+// tree-walking oracle and on Execute (so timeouts behave identically
+// regardless of engine or index cache state), and ORDER BY
+// tie-breaking must be byte-stable across engines, repeated runs,
+// concurrency, and the top-K short-circuit.
 
 import (
 	"context"
@@ -17,17 +17,29 @@ import (
 	"unmasque/internal/sqlparser"
 )
 
-// tickDelta executes sql on db under the given mode and returns the
+// engine is one way to run a statement: the tree-walking oracle or
+// the production vector engine behind Execute.
+type engine struct {
+	name string
+	exec func(*sqldb.Database, context.Context, *sqldb.SelectStmt) (*sqldb.Result, error)
+}
+
+var (
+	oracleEngine = engine{"oracle", (*sqldb.Database).ExecuteOracle}
+	vectorEngine = engine{"vector", (*sqldb.Database).Execute}
+	engines      = []engine{oracleEngine, vectorEngine}
+)
+
+// tickDelta executes sql on db with the given engine and returns the
 // CtxTicks the run charged.
-func tickDelta(t *testing.T, db *sqldb.Database, mode sqldb.ExecMode, sql string) int64 {
+func tickDelta(t *testing.T, db *sqldb.Database, eng engine, sql string) int64 {
 	t.Helper()
 	stmt, err := sqlparser.Parse(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.SetExecMode(mode)
 	before := db.EngineCounters().CtxTicks
-	if _, err := db.Execute(context.Background(), stmt); err != nil {
+	if _, err := eng.exec(db, context.Background(), stmt); err != nil {
 		t.Fatalf("%s: %v", sql, err)
 	}
 	return db.EngineCounters().CtxTicks - before
@@ -38,7 +50,7 @@ func tickDelta(t *testing.T, db *sqldb.Database, mode sqldb.ExecMode, sql string
 // cancellation ticks for the same statement, covering scan, indexed
 // scan, hash join, cross product, residual predicates, aggregation,
 // projection, ordering and limits. Equal tick totals are what make
-// timeout behaviour independent of the exec mode.
+// timeout behaviour independent of the engine's access paths.
 func TestCtxTickParityAcrossModes(t *testing.T) {
 	db := edgeDB(t)
 	queries := []string{
@@ -57,14 +69,14 @@ func TestCtxTickParityAcrossModes(t *testing.T) {
 		"select grp, count(distinct s) from t group by grp order by grp limit 2",
 	}
 	for _, sql := range queries {
-		treeTicks := tickDelta(t, db, sqldb.ExecTree, sql)
-		vecTicks := tickDelta(t, db, sqldb.ExecVector, sql)
+		treeTicks := tickDelta(t, db, oracleEngine, sql)
+		vecTicks := tickDelta(t, db, vectorEngine, sql)
 		if treeTicks != vecTicks {
 			t.Errorf("tick accounting diverges for %q: tree=%d vector=%d", sql, treeTicks, vecTicks)
 		}
 		// Re-run under vector: cached indexes and build sides must not
 		// change the charge (ticks follow logical rows, not work done).
-		if again := tickDelta(t, db, sqldb.ExecVector, sql); again != vecTicks {
+		if again := tickDelta(t, db, vectorEngine, sql); again != vecTicks {
 			t.Errorf("vector ticks unstable for %q: first=%d cached=%d", sql, vecTicks, again)
 		}
 	}
@@ -101,7 +113,7 @@ func tieDB(t *testing.T) *sqldb.Database {
 
 // TestOrderingDeterministicAcrossModesAndWorkers pins satellite
 // ordering determinism: heavily tied ORDER BY output must be
-// byte-identical across exec modes, across worker counts (concurrent
+// byte-identical across engines, across worker counts (concurrent
 // executions sharing one database's caches), and the top-K LIMIT path
 // must return exactly the full sort's prefix.
 func TestOrderingDeterministicAcrossModesAndWorkers(t *testing.T) {
@@ -116,23 +128,21 @@ func TestOrderingDeterministicAcrossModesAndWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		db.SetExecMode(sqldb.ExecTree)
-		ref, err := db.Execute(context.Background(), stmt)
+		ref, err := db.ExecuteOracle(context.Background(), stmt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		refStr := ref.String()
 
 		for _, workers := range []int{1, 4, 8} {
-			for _, mode := range []sqldb.ExecMode{sqldb.ExecTree, sqldb.ExecVector} {
-				db.SetExecMode(mode)
+			for _, eng := range engines {
 				got := make([]string, workers)
 				var wg sync.WaitGroup
 				for w := 0; w < workers; w++ {
 					wg.Add(1)
 					go func(w int) {
 						defer wg.Done()
-						res, err := db.Execute(context.Background(), stmt)
+						res, err := eng.exec(db, context.Background(), stmt)
 						if err != nil {
 							got[w] = fmt.Sprintf("error: %v", err)
 							return
@@ -143,8 +153,8 @@ func TestOrderingDeterministicAcrossModesAndWorkers(t *testing.T) {
 				wg.Wait()
 				for w, g := range got {
 					if g != refStr {
-						t.Fatalf("%q: mode=%v workers=%d worker %d diverges from reference:\n%s\nvs\n%s",
-							sql, mode, workers, w, g, refStr)
+						t.Fatalf("%q: engine=%s workers=%d worker %d diverges from reference:\n%s\nvs\n%s",
+							sql, eng.name, workers, w, g, refStr)
 					}
 				}
 			}
@@ -162,15 +172,14 @@ func TestOrderingDeterministicAcrossModesAndWorkers(t *testing.T) {
 				wantRows = wantRows[:k]
 			}
 			want := (&sqldb.Result{Columns: ref.Columns, Rows: wantRows}).String()
-			for _, mode := range []sqldb.ExecMode{sqldb.ExecTree, sqldb.ExecVector} {
-				db.SetExecMode(mode)
-				res, err := db.Execute(context.Background(), limited)
+			for _, eng := range engines {
+				res, err := eng.exec(db, context.Background(), limited)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if res.String() != want {
-					t.Fatalf("%q limit %d under %v diverges from sort-then-truncate:\n%s\nvs\n%s",
-						sql, k, mode, res, want)
+					t.Fatalf("%q limit %d under %s diverges from sort-then-truncate:\n%s\nvs\n%s",
+						sql, k, eng.name, res, want)
 				}
 			}
 		}

@@ -185,8 +185,7 @@ func TestAdvisedClonesShareRangeIndex(t *testing.T) {
 	// build at clone time, and that one build is the whole budget.
 	before := db.EngineCounters()
 	oracle := db.Clone()
-	oracle.SetExecMode(ExecTree)
-	want, err := oracle.Execute(context.Background(), stmt)
+	want, err := oracle.executeOracle(context.Background(), stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,8 +228,7 @@ func TestAdvisedNonLeadingIndexTotalityGate(t *testing.T) {
 			Where: where,
 		}
 		oracle := db.Clone()
-		oracle.SetExecMode(ExecTree)
-		want, err := oracle.Execute(context.Background(), stmt)
+		want, err := oracle.executeOracle(context.Background(), stmt)
 		if err != nil {
 			t.Fatal(err)
 		}
