@@ -1,8 +1,10 @@
 #!/usr/bin/env sh
 # ci.sh — the repository's full verification gate.
 #
-# Runs, in order: build, formatting check, go vet, the project's own
-# linter (internal/analysis via cmd/unmasquelint), the full test suite
+# Runs, in order: build, formatting check, go vet, a build and vet of
+# the nested perfbench module (the root ./... patterns skip it, yet it
+# reads core.Config and core.Stats fields), the project's own linter
+# (internal/analysis via cmd/unmasquelint), the full test suite
 # under the race detector, the differential engine harness (the vector
 # engine against the test-only tree-walking oracle, plus the golden
 # TPC-H extraction pins), every fuzz target in smoke mode, an
@@ -28,6 +30,9 @@ fi
 
 echo "== go vet"
 go vet ./...
+
+echo "== perfbench build + vet (nested module)"
+(cd perfbench && go build -o /dev/null . && go vet .)
 
 echo "== unmasquelint"
 go run ./cmd/unmasquelint ./...

@@ -43,10 +43,11 @@
 //	        top-level math/rand function is forbidden there. Time is
 //	        injected through core.Config.Clock, randomness through a
 //	        seeded *rand.Rand — so the extraction transcript, the
-//	        bounded-equivalence verdicts and the mutant accounting are
-//	        byte-identical across runs and worker counts. Constructing
-//	        a seeded generator (rand.New, rand.NewSource) is allowed,
-//	        as is referencing time.Now as a value (the default Clock).
+//	        checker's instance suites and the bounded-equivalence
+//	        verdicts are byte-identical across runs and worker
+//	        counts. Constructing a seeded generator (rand.New,
+//	        rand.NewSource) is allowed, as is referencing time.Now as
+//	        a value (the default Clock).
 //	GL008 — internal/sqldb never allocates a map with sqldb.Value
 //	        payloads inside a loop — elements of type Value, []Value
 //	        or Row alike. Per-row map[string]Value was the dominant

@@ -429,7 +429,7 @@ func blockingWork(p *pkg, body *ast.BlockStmt) string {
 // --- GL007: deterministic tiers stay deterministic ------------------
 
 // isDeterministicPkg reports whether the package belongs to the
-// deterministic tiers: the extraction pipeline, the instance/mutant
+// deterministic tiers: the extraction pipeline, the checker's instance
 // generator and the static-analysis layer (which includes the bounded
 // equivalence checker). Their outputs must be reproducible bit for
 // bit, so ambient clocks and global randomness are off-limits.

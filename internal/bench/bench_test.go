@@ -106,34 +106,6 @@ func TestQuickExperimentShapes(t *testing.T) {
 		}
 	})
 
-	t.Run("equiv-shape", func(t *testing.T) {
-		rows, err := Equiv(&buf, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rows) == 0 {
-			t.Fatal("no equiv measurements")
-		}
-		for _, r := range rows {
-			if !r.SQLIdentical {
-				t.Errorf("%s: bounded checking changed the extracted SQL", r.Query)
-			}
-			if r.Bound != 2 {
-				t.Errorf("%s: proof bound %d, want 2", r.Query, r.Bound)
-			}
-			if r.MutantsTotal == 0 {
-				t.Errorf("%s: empty mutant catalogue", r.Query)
-			}
-			if got := r.KilledStatic + r.KilledWitness + r.ProvenEquivalent + r.MutantsUnresolved; got != r.MutantsTotal {
-				t.Errorf("%s: mutant accounting %d of %d", r.Query, got, r.MutantsTotal)
-			}
-			if r.BoundedInvocations >= r.ClassicInvocations {
-				t.Errorf("%s: bounded checker did not prune invocations (%d vs %d)",
-					r.Query, r.BoundedInvocations, r.ClassicInvocations)
-			}
-		}
-	})
-
 	t.Run("service-shape", func(t *testing.T) {
 		rows, err := Service(&buf, opt)
 		if err != nil {

@@ -106,9 +106,9 @@ func (s *Session) validateAssembly(stmt *sqldb.SelectStmt) error {
 	return nil
 }
 
-// executeStmt runs an assembled statement with the probe timeout.
+// executeStmt runs an assembled statement under execTimeout.
 func (s *Session) executeStmt(stmt *sqldb.SelectStmt, db *sqldb.Database) (*sqldb.Result, error) {
-	ctx, cancel := probeContext(s.cfg.ExecTimeout)
+	ctx, cancel := probeContext(execTimeout)
 	defer cancel()
 	return db.Execute(ctx, stmt)
 }

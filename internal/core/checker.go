@@ -34,34 +34,24 @@ func (s *Session) check(ext *Extraction) error {
 	// are generated from the *extracted* predicate structure, so
 	// hidden logic invisible to the pipeline (e.g. negated patterns)
 	// could satisfy them by construction; D_I is the one instance the
-	// pipeline did not shape — which also makes it the first
-	// mutant-killing witness for the bounded checker.
-	var witnesses []witness
-	initRes, err := s.compareOnResult(ext, s.source, "initial-instance")
-	if err != nil {
+	// pipeline did not shape.
+	if err := s.compareOn(ext, s.source, "initial-instance"); err != nil {
 		return err
 	}
-	witnesses = append(witnesses, witness{db: s.source, appRes: initRes})
 
 	// Stage 1: randomized databases.
-	for round := 0; round < s.cfg.CheckerRounds; round++ {
+	for round := 0; round < checkerRounds; round++ {
 		rng := newRNG(s.cfg.Seed + int64(round) + 1000)
-		db, err := analysis.RandomInstance(s.cfg.CheckerRows, rng)
+		db, err := analysis.RandomInstance(checkerRows, rng)
 		if err != nil {
 			return err
 		}
-		appRes, err := s.compareOnResult(ext, db, fmt.Sprintf("random#%d", round))
-		if err != nil {
+		if err := s.compareOn(ext, db, fmt.Sprintf("random#%d", round)); err != nil {
 			return err
 		}
-		witnesses = append(witnesses, witness{db: db, appRes: appRes})
 	}
 
-	// Stage 2: mutant killing — symbolically pruned when a bounded
-	// proof is requested, the classical XData instance suite otherwise.
-	if s.cfg.BoundedCheck > 0 {
-		return s.checkBounded(ext, schemas, witnesses)
-	}
+	// Stage 2: mutant killing on the XData instance suite.
 	instances, err := xdata.Generate(ext.Query, schemas, s.cfg.Seed)
 	if err != nil {
 		return err
@@ -74,53 +64,35 @@ func (s *Session) check(ext *Extraction) error {
 	return nil
 }
 
-// witness is a database the application has already been executed on,
-// together with its recorded (raw) result. The bounded checker reuses
-// witnesses to kill mutants without any further executable runs.
-type witness struct {
-	db     *sqldb.Database
-	appRes *sqldb.Result
-}
-
 // compareOn runs both the application and Q_E on db and compares the
 // results.
 func (s *Session) compareOn(ext *Extraction, db *sqldb.Database, label string) error {
-	_, err := s.compareOnResult(ext, db, label)
-	return err
-}
-
-// compareOnResult is compareOn returning the application's (raw)
-// result so callers can reuse the instance as a mutant-killing
-// witness without rerunning E.
-func (s *Session) compareOnResult(ext *Extraction, db *sqldb.Database, label string) (*sqldb.Result, error) {
 	// No index advice here: this instance serves exactly two
 	// executions (the application and Q_E), which cannot amortize an
-	// index build. Instances that go on to replay the mutant
-	// catalogue are advised by checkBounded instead.
+	// index build.
 	appRes, appErr := s.run(nil, db)
 	qRes, qErr := s.executeStmt(ext.Query, db)
 	if appErr != nil {
-		return nil, fmt.Errorf("checker instance %q: application failed: %w", label, appErr)
+		return fmt.Errorf("checker instance %q: application failed: %w", label, appErr)
 	}
 	if qErr != nil {
-		return nil, fmt.Errorf("checker instance %q: extracted query failed: %w", label, qErr)
+		return fmt.Errorf("checker instance %q: extracted query failed: %w", label, qErr)
 	}
 	// Normalize the "null result" convention: an ungrouped aggregate
 	// over empty input is one all-default row in SQL but an empty
 	// result to the paper's framework (and to imperative
 	// applications); both sides compare as empty.
-	raw := appRes
 	appRes = normalizeNull(appRes)
 	qRes = normalizeNull(qRes)
 	if !appRes.EqualUnordered(qRes) {
-		return nil, fmt.Errorf("checker instance %q: results differ (%d vs %d rows)",
+		return fmt.Errorf("checker instance %q: results differ (%d vs %d rows)",
 			label, appRes.RowCount(), qRes.RowCount())
 	}
 	if len(ext.OrderBy) > 0 && !OrderedEquivalent(appRes, qRes, ext.OrderBy) {
-		return nil, fmt.Errorf("checker instance %q: order-key sequences differ (app checksum %x, query checksum %x)",
+		return fmt.Errorf("checker instance %q: order-key sequences differ (app checksum %x, query checksum %x)",
 			label, appRes.Checksum(), qRes.Checksum())
 	}
-	return raw, nil
+	return nil
 }
 
 // normalizeNull maps unpopulated results (empty, or the null row of

@@ -29,21 +29,8 @@ type Config struct {
 	// ProbeTimeout bounds each from-clause probe execution (the paper
 	// uses 100 ms in the schema-scaling experiment). Only renames are
 	// probed under this deadline; all other pipeline executions use
-	// ExecTimeout.
+	// execTimeout.
 	ProbeTimeout time.Duration
-
-	// ExecTimeout bounds every non-from-clause application execution
-	// (minimizer probes on still-large databases can legitimately
-	// take a while).
-	ExecTimeout time.Duration
-
-	// SampleFraction is the per-pass Bernoulli sampling rate of the
-	// minimizer's preprocessing phase.
-	SampleFraction float64
-
-	// SampleThreshold is the row count below which a table is no
-	// longer sampled (halving takes over).
-	SampleThreshold int
 
 	// DisableSampling turns the minimizer's sampling preprocessing
 	// off (ablation experiment E10).
@@ -54,36 +41,8 @@ type Config struct {
 	// "roundrobin" or "random".
 	HalvingPolicy string
 
-	// LimitStart and LimitRatio parameterize the geometric result-
-	// cardinality progression of limit extraction (paper: a = max(4,
-	// |R_I|), r = 10).
-	LimitStart int
-	LimitRatio int
-
-	// LimitMax caps the largest generated cardinality when probing
-	// for limit; beyond it the query is concluded to have no limit.
-	LimitMax int
-
-	// CheckerRounds is the number of randomized databases the
-	// extraction checker compares E and Q_E on.
-	CheckerRounds int
-
-	// CheckerRows is the per-table row count of those databases.
-	CheckerRows int
-
 	// SkipChecker disables the final verification module.
 	SkipChecker bool
-
-	// BoundedCheck, when positive, upgrades the checker's mutant stage
-	// from instance equivalence to a bounded symbolic proof: the
-	// assembled Q_E is compared against the XData mutant catalogue
-	// with the internal/analysis/eqcequiv checker over all canonical
-	// databases of up to BoundedCheck rows per table. Mutants the
-	// checker disproves are killed without invoking the executable
-	// (their counterexample database is planted as the witness), so
-	// executable runs per extraction drop. The proof bound is recorded
-	// in Stats.BoundedBound. Zero keeps the classical instance suite.
-	BoundedCheck int
 
 	// VerifyEQC runs the static extractable-class verifier
 	// (internal/analysis/eqcverify) over the assembled query after the
@@ -98,14 +57,10 @@ type Config struct {
 	// re-probed for disjunctive predicates — unions of numeric/date
 	// intervals (via a grid scan plus boundary binary searches) and
 	// string IN-sets (via enumeration of the source column's distinct
-	// values). Segments narrower than domain/DisjunctionScanPoints
+	// values). Segments narrower than domain/disjunctionScanPoints
 	// and strings absent from D_I remain invisible; the checker's
 	// initial-instance comparison flags such residuals.
 	ExtractDisjunction bool
-
-	// DisjunctionScanPoints is the grid resolution of the numeric
-	// disjunction scan (default 48).
-	DisjunctionScanPoints int
 
 	// ExtractHaving switches to the Section 7 pipeline that also
 	// extracts having predicates (with the paper's restriction that
@@ -178,20 +133,46 @@ type Config struct {
 	Clock func() time.Time
 }
 
+// Fixed pipeline parameters, with the paper's values where it states
+// one. No caller needs another value, so they are not Config fields.
+const (
+	// execTimeout bounds every non-from-clause application execution
+	// (minimizer probes on still-large databases can legitimately
+	// take a while).
+	execTimeout = 5 * time.Minute
+
+	// sampleFraction is the per-pass Bernoulli sampling rate of the
+	// minimizer's preprocessing phase; sampleThreshold is the row
+	// count below which a table is no longer sampled (halving takes
+	// over).
+	sampleFraction  = 0.1
+	sampleThreshold = 64
+
+	// limitStart and limitRatio parameterize the geometric result-
+	// cardinality progression of limit extraction (paper: a = max(4,
+	// |R_I|), r = 10). limitMax caps the largest generated
+	// cardinality; beyond it the query is concluded to have no limit.
+	limitStart = 4
+	limitRatio = 10
+	limitMax   = 4000
+
+	// checkerRounds is the number of randomized databases the
+	// extraction checker compares E and Q_E on; checkerRows is the
+	// per-table row count of each.
+	checkerRounds = 3
+	checkerRows   = 40
+
+	// disjunctionScanPoints is the grid resolution of the numeric
+	// disjunction scan (Config.ExtractDisjunction).
+	disjunctionScanPoints = 48
+)
+
 // DefaultConfig returns the paper-faithful parameterization.
 func DefaultConfig() Config {
 	return Config{
-		ProbeTimeout:    250 * time.Millisecond,
-		ExecTimeout:     5 * time.Minute,
-		SampleFraction:  0.1,
-		SampleThreshold: 64,
-		HalvingPolicy:   "largest",
-		LimitStart:      4,
-		LimitRatio:      10,
-		LimitMax:        4000,
-		CheckerRounds:   3,
-		CheckerRows:     40,
-		Seed:            1,
+		ProbeTimeout:  250 * time.Millisecond,
+		HalvingPolicy: "largest",
+		Seed:          1,
 	}
 }
 
@@ -199,15 +180,6 @@ func DefaultConfig() Config {
 func (c *Config) validate() error {
 	if c.ProbeTimeout <= 0 {
 		return fmt.Errorf("ProbeTimeout must be positive")
-	}
-	if c.ExecTimeout <= 0 {
-		c.ExecTimeout = 5 * time.Minute
-	}
-	if c.SampleFraction <= 0 || c.SampleFraction >= 1 {
-		return fmt.Errorf("SampleFraction must be in (0,1)")
-	}
-	if c.SampleThreshold < 2 {
-		return fmt.Errorf("SampleThreshold must be at least 2")
 	}
 	switch strings.ToLower(c.HalvingPolicy) {
 	case "", "largest":
@@ -217,26 +189,11 @@ func (c *Config) validate() error {
 	default:
 		return fmt.Errorf("unknown halving policy %q", c.HalvingPolicy)
 	}
-	if c.LimitStart < 4 {
-		c.LimitStart = 4
-	}
-	if c.LimitRatio < 2 {
-		return fmt.Errorf("LimitRatio must be at least 2")
-	}
-	if c.LimitMax < c.LimitStart {
-		return fmt.Errorf("LimitMax must be at least LimitStart")
-	}
-	if c.DisjunctionScanPoints <= 0 {
-		c.DisjunctionScanPoints = 48
-	}
 	if c.Workers < 0 {
 		return fmt.Errorf("Workers must be non-negative")
 	}
 	if c.Workers == 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.BoundedCheck < 0 {
-		return fmt.Errorf("BoundedCheck must be non-negative")
 	}
 	if c.Clock == nil {
 		c.Clock = time.Now
@@ -303,26 +260,6 @@ type Stats struct {
 	RowsAfterSampling int
 	RowsFinal         int
 
-	// BoundedBound is the k of the bounded equivalence proof the
-	// checker ran (Config.BoundedCheck); zero when the classical
-	// instance suite ran instead.
-	BoundedBound int
-
-	// Mutant accounting of the bounded checker: the catalogue size,
-	// how many mutants were killed purely symbolically (a concrete
-	// counterexample database found by enumeration, or disagreement
-	// with the candidate replayed on a previously planted
-	// counterexample — the executable is never invoked), how many were
-	// killed against an application-observed witness database at zero
-	// extra cost, how many were proven equivalent within the bound (no
-	// kill possible at this scale, no run needed), and how many were
-	// left to the classical instance fallback.
-	MutantsTotal            int
-	MutantsKilledStatic     int
-	MutantsKilledWitness    int
-	MutantsProvenEquivalent int
-	MutantsUnresolved       int
-
 	// Engine counters for this extraction (deltas of the silo's shared
 	// sqldb.EngineStats between start and end — the provided database
 	// may be reused across extractions, so absolutes would conflate
@@ -376,11 +313,6 @@ func (s *Stats) String() string {
 		if s.DiskCacheHits > 0 {
 			line += fmt.Sprintf(" disk=%d", s.DiskCacheHits)
 		}
-	}
-	if s.BoundedBound > 0 {
-		line += fmt.Sprintf(" bounded-check k=%d mutants %d (static=%d witness=%d equivalent=%d unresolved=%d)",
-			s.BoundedBound, s.MutantsTotal, s.MutantsKilledStatic, s.MutantsKilledWitness,
-			s.MutantsProvenEquivalent, s.MutantsUnresolved)
 	}
 	line += fmt.Sprintf(" engine (index builds=%d hits=%d range builds=%d hits=%d join-reuse=%d batches=%d)",
 		s.IndexBuilds, s.IndexHits, s.RangeBuilds, s.RangeHits,

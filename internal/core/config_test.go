@@ -16,12 +16,7 @@ func TestConfigValidation(t *testing.T) {
 		mutate func(*Config)
 	}{
 		{"zero probe timeout", func(c *Config) { c.ProbeTimeout = 0 }},
-		{"negative sample fraction", func(c *Config) { c.SampleFraction = -0.5 }},
-		{"fraction one", func(c *Config) { c.SampleFraction = 1 }},
-		{"tiny threshold", func(c *Config) { c.SampleThreshold = 1 }},
 		{"bad policy", func(c *Config) { c.HalvingPolicy = "fastest" }},
-		{"ratio one", func(c *Config) { c.LimitRatio = 1 }},
-		{"limit max below start", func(c *Config) { c.LimitMax = 2; c.LimitStart = 50 }},
 	}
 	for _, cse := range cases {
 		cfg := DefaultConfig()
@@ -35,19 +30,11 @@ func TestConfigValidation(t *testing.T) {
 func TestConfigNormalization(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.HalvingPolicy = ""
-	cfg.LimitStart = 1
-	cfg.ExecTimeout = 0
 	if err := cfg.validate(); err != nil {
 		t.Fatal(err)
 	}
 	if cfg.HalvingPolicy != "largest" {
 		t.Errorf("policy default: %q", cfg.HalvingPolicy)
-	}
-	if cfg.LimitStart < 4 {
-		t.Errorf("limit start floor: %d", cfg.LimitStart)
-	}
-	if cfg.ExecTimeout <= 0 {
-		t.Error("exec timeout default not applied")
 	}
 }
 

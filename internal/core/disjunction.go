@@ -24,7 +24,7 @@ import (
 //     FilterTextIn.
 //
 // Restrictions (documented, checker-guarded): intervals narrower than
-// domain/DisjunctionScanPoints can escape the scan, and strings never
+// domain/disjunctionScanPoints can escape the scan, and strings never
 // observed in D_I cannot be enumerated; the checker's initial-instance
 // comparison rejects extractions that miss such residuals.
 func (s *Session) refineDisjunctions() error {
@@ -59,7 +59,7 @@ func (s *Session) refineNumericDisjunction(col sqldb.ColRef, def sqldb.Column) e
 	scale := numericScale(def)
 	gMin := def.DomainMin() * scale
 	gMax := def.DomainMax() * scale
-	points := int64(s.cfg.DisjunctionScanPoints)
+	points := int64(disjunctionScanPoints)
 	if gMax-gMin < 2 {
 		return nil // degenerate domain: nothing beyond the range pass
 	}

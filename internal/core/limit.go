@@ -14,13 +14,13 @@ import (
 // generated reveals the limit. The progression is bounded above by
 // l_max, the maximum number of distinct groups the grouping columns
 // can produce under their domain and filter restrictions, and by the
-// configured cap (beyond which the query is concluded unlimited).
+// limitMax cap (beyond which the query is concluded unlimited).
 func (s *Session) extractLimit() error {
 	if s.ungroupedAgg && len(s.groupBy) == 0 {
 		return nil // single-row results can never exhibit a limit
 	}
 	lmax := s.limitCeiling()
-	n := s.cfg.LimitStart
+	n := limitStart
 	if base := s.baseline.RowCount(); base >= n {
 		n = base + 1 // a = max(4, |R_I|) in spirit: start above what we saw
 	}
@@ -39,12 +39,12 @@ func (s *Session) extractLimit() error {
 			s.limit = int64(m)
 			return nil
 		}
-		if n >= lmax || n >= s.cfg.LimitMax {
+		if n >= lmax || n >= limitMax {
 			return nil // no limit within the probe ceiling
 		}
-		n *= s.cfg.LimitRatio
-		if n > s.cfg.LimitMax {
-			n = s.cfg.LimitMax
+		n *= limitRatio
+		if n > limitMax {
+			n = limitMax
 		}
 	}
 }
@@ -55,7 +55,7 @@ func (s *Session) extractLimit() error {
 // grouping columns (the n1·n2·n3·… bound of Section 5.4).
 func (s *Session) limitCeiling() int {
 	if len(s.groupBy) == 0 {
-		return s.cfg.LimitMax
+		return limitMax
 	}
 	prod := 1
 	for _, g := range s.groupBy {
@@ -63,13 +63,13 @@ func (s *Session) limitCeiling() int {
 		if c <= 0 {
 			c = 1
 		}
-		if prod >= s.cfg.LimitMax/c {
-			return s.cfg.LimitMax
+		if prod >= limitMax/c {
+			return limitMax
 		}
 		prod *= c
 	}
-	if prod > s.cfg.LimitMax {
-		prod = s.cfg.LimitMax
+	if prod > limitMax {
+		prod = limitMax
 	}
 	return prod
 }
@@ -78,7 +78,7 @@ func (s *Session) limitCeiling() int {
 // column can take.
 func (s *Session) columnCapacity(col sqldb.ColRef) int {
 	if s.inJoinGraph(col) {
-		return s.cfg.LimitMax // keys are unbounded positive integers
+		return limitMax // keys are unbounded positive integers
 	}
 	def, err := s.column(col)
 	if err != nil {
@@ -95,7 +95,7 @@ func (s *Session) columnCapacity(col sqldb.ColRef) int {
 		if !ok {
 			// Bounded by what the s-value generator can distinctly
 			// produce within the column length.
-			return freshStringCapacity(def.TextMaxLen(), s.cfg.LimitMax)
+			return freshStringCapacity(def.TextMaxLen(), limitMax)
 		}
 		if f.Kind == FilterTextEq {
 			return 1
@@ -106,7 +106,7 @@ func (s *Session) columnCapacity(col sqldb.ColRef) int {
 		for i := 0; i < len(f.Pattern); i++ {
 			if f.Pattern[i] == '%' {
 				headroom := def.TextMaxLen() - len(sqldb.StripPercent(f.Pattern))
-				return freshStringCapacity(headroom, s.cfg.LimitMax)
+				return freshStringCapacity(headroom, limitMax)
 			}
 		}
 		if strings.ContainsRune(f.Pattern, '_') {
@@ -121,8 +121,8 @@ func (s *Session) columnCapacity(col sqldb.ColRef) int {
 				total := int64(0)
 				for _, seg := range f.Segments {
 					total += scaleFloat(seg.Hi.AsFloat(), scale) - scaleFloat(seg.Lo.AsFloat(), scale) + 1
-					if total > int64(s.cfg.LimitMax) {
-						return s.cfg.LimitMax
+					if total > int64(limitMax) {
+						return limitMax
 					}
 				}
 				return int(total)
@@ -138,8 +138,8 @@ func (s *Session) columnCapacity(col sqldb.ColRef) int {
 		if span <= 0 {
 			return 1
 		}
-		if span > int64(s.cfg.LimitMax) {
-			return s.cfg.LimitMax
+		if span > int64(limitMax) {
+			return limitMax
 		}
 		return int(span)
 	}
@@ -196,10 +196,10 @@ func (s *Session) limitProbe(n int) (int, int, error) {
 			vals[i] = v
 		}
 		d.set(g, vals...)
-		if divisor <= s.cfg.LimitMax/cap {
+		if divisor <= limitMax/cap {
 			divisor *= cap
 		} else {
-			divisor = s.cfg.LimitMax
+			divisor = limitMax
 		}
 	}
 	// With no grouping at all, vary one arbitrary free column so rows

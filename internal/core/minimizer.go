@@ -50,7 +50,7 @@ func (s *Session) samplePhase() error {
 	frozen := map[string]bool{}
 	for {
 		name := ""
-		best := s.cfg.SampleThreshold
+		best := sampleThreshold
 		for _, t := range s.tablesBySizeDesc() {
 			if frozen[t] {
 				continue
@@ -73,7 +73,7 @@ func (s *Session) samplePhase() error {
 		}
 		backup := tbl.SnapshotRows()
 		tbl.SetRows(sqldb.CopyRows(backup))
-		tbl.Sample(s.cfg.SampleFraction, s.rng)
+		tbl.Sample(sampleFraction, s.rng)
 		ok, err := s.populated(nil, s.silo)
 		if err != nil {
 			return err

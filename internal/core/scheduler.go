@@ -297,7 +297,7 @@ func (s *Session) runMemoized(pc *probeCtx, db *sqldb.Database) (*sqldb.Result, 
 // session context) and records the invocation.
 func (s *Session) runObserved(pc *probeCtx, db *sqldb.Database, cache, fp string) (*sqldb.Result, error) {
 	start := s.cfg.Clock()
-	res, err := app.RunCtx(s.ctx, s.exe, db, s.cfg.ExecTimeout)
+	res, err := app.RunCtx(s.ctx, s.exe, db, execTimeout)
 	s.observe(pc, obs.ProbeEvent{Kind: obs.KindExec, FP: fp, Cache: cache}, res, err, s.cfg.Clock().Sub(start))
 	return res, err
 }

@@ -72,6 +72,12 @@ func TestHTTPEndToEnd(t *testing.T) {
 		!bytes.Contains(body, []byte("unknown application")) {
 		t.Errorf("unknown app: %d %s, want 400", resp.StatusCode, body)
 	}
+	// A client built against an older daemon may still send a knob
+	// that no longer exists; it is refused, never silently dropped.
+	if resp, body := post("/jobs", `{"app":"enki/posts_by_tag","bounded":2}`); resp.StatusCode != http.StatusBadRequest ||
+		!bytes.Contains(body, []byte(`unknown field \"bounded\"`)) {
+		t.Errorf("removed spec field: %d %s, want 400 unknown field", resp.StatusCode, body)
+	}
 
 	// Submit an inline job.
 	enc, err := json.Marshal(inlineSpec("http-inline"))

@@ -101,12 +101,6 @@ type Result struct {
 	DiskCacheHits  int64 `json:"disk_cache_hits"`
 	LedgerEvents   int64 `json:"ledger_events"`
 	Workers        int   `json:"workers,omitempty"`
-	// BoundedBound is the k of the bounded equivalence proof when the
-	// job ran with spec.Bounded > 0; MutantsKilled/MutantsProven count
-	// the checker's mutant classifications under that proof.
-	BoundedBound  int `json:"bounded_bound,omitempty"`
-	MutantsKilled int `json:"mutants_killed,omitempty"`
-	MutantsProven int `json:"mutants_proven,omitempty"`
 
 	// Execution-engine accounting (core.Stats deltas for this job's
 	// extraction): index, join-reuse and batch counters.
@@ -148,9 +142,6 @@ func (j *Job) result() Result {
 		DiskCacheHits:  j.stats.DiskCacheHits,
 		LedgerEvents:   int64(j.ledger.Len()),
 		Workers:        j.stats.Workers,
-		BoundedBound:   j.stats.BoundedBound,
-		MutantsKilled:  j.stats.MutantsKilledStatic + j.stats.MutantsKilledWitness,
-		MutantsProven:  j.stats.MutantsProvenEquivalent,
 
 		IndexBuilds:      j.stats.IndexBuilds,
 		IndexHits:        j.stats.IndexHits,

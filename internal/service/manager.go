@@ -296,7 +296,6 @@ func jobConfig(spec JobSpec) core.Config {
 	if spec.Workers > 0 {
 		cfg.Workers = spec.Workers
 	}
-	cfg.BoundedCheck = spec.Bounded
 	// The service is the production surface: always verify static
 	// class membership on top of the instance checker.
 	cfg.VerifyEQC = true

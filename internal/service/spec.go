@@ -41,10 +41,6 @@ type JobSpec struct {
 	// Workers overrides the per-extraction probe worker pool (0 =
 	// pipeline default).
 	Workers int `json:"workers,omitempty"`
-	// Bounded turns on the symbolically pruned checker with a bounded
-	// equivalence proof at k = Bounded rows per table (0 = classical
-	// instance suite).
-	Bounded int `json:"bounded,omitempty"`
 }
 
 // TableSpec is one inline table: schema plus row data.
@@ -99,8 +95,8 @@ func (sp JobSpec) DisplayName() string {
 // registered application name plus seed; inline jobs on a digest of
 // their table payload and hidden SQL plus seed. Knobs that change how
 // the extraction is driven but not what E computes — Name, Workers,
-// Having, Bounded — deliberately do not contribute: jobs differing
-// only in those reuse each other's probe outcomes.
+// Having — deliberately do not contribute: jobs differing only in
+// those reuse each other's probe outcomes.
 func (sp JobSpec) CacheKey() string {
 	seed := sp.Seed
 	if seed == 0 {
@@ -124,9 +120,6 @@ func (sp JobSpec) CacheKey() string {
 // anything: a bad spec must be rejected at admission, not discovered
 // by a worker.
 func (sp JobSpec) Validate() error {
-	if sp.Bounded < 0 {
-		return fmt.Errorf("spec: bounded must be non-negative")
-	}
 	inline := len(sp.Tables) > 0 || sp.SQL != ""
 	switch {
 	case sp.App == "" && !inline:

