@@ -5,7 +5,8 @@
 # the nested perfbench module (the root ./... patterns skip it, yet it
 # reads core.Config and core.Stats fields), the project's own linter
 # (internal/analysis via cmd/unmasquelint), the full test suite
-# under the race detector, the differential engine harness (the vector
+# under the race detector (plus ten repeats of the probe cache's
+# concurrency test), the differential engine harness (the vector
 # engine against the test-only tree-walking oracle, plus the golden
 # TPC-H extraction pins), every fuzz target in smoke mode, an
 # end-to-end traced extraction whose JSONL output is schema-validated,
@@ -48,6 +49,11 @@ done
 
 echo "== go test -race"
 go test -race ./...
+
+# The probe cache is shared by every worker of every daemon job: repeat
+# its concurrent Put/Get test under the race detector.
+echo "== probe cache concurrency (-race -count=10)"
+go test -race -count=10 -run '^TestProbeCacheConcurrentPutGet$' ./internal/storage
 
 # Differential engine harness: the tree-walking oracle lives only in
 # internal/sqldb/oracle_test.go. These tests run corpus queries, edge
@@ -268,13 +274,15 @@ check_cover ./internal/service 78.0
 check_cover ./internal/analysis/eqcequiv 80.0
 check_cover ./internal/storage 80.0
 
-# Per-file floor on the execution engine: the differential harness
-# must actually exercise the plan compiler and evaluator (exec.go) and
-# the batch/index/scan/join code, not just keep the package average up.
-echo "== per-file coverage floor (execution engine, 80%)"
+# Per-file floor on the execution engine and the canonical encoder:
+# the differential harness must actually exercise the plan compiler and
+# evaluator (exec.go) and the batch/index/scan/join code, and the
+# reference-encoder test the fingerprint and digest hashers, not just
+# keep the package average up.
+echo "== per-file coverage floor (execution engine and hashers, 80%)"
 prof=$(mktemp /tmp/unmasque-cover.XXXXXX)
 go test -coverprofile="$prof" ./internal/sqldb >/dev/null
-for f in exec.go batch.go vector.go index.go exec_vector.go agg_vector.go sort_vector.go; do
+for f in exec.go batch.go vector.go index.go exec_vector.go agg_vector.go sort_vector.go fingerprint.go digest.go; do
     pct=$(awk -v f="internal/sqldb/$f:" \
         'index($1, f) { total += $2; if ($3 > 0) covered += $2 }
          END { if (total == 0) print "0.0"; else printf "%.1f", 100 * covered / total }' "$prof")

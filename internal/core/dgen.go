@@ -63,7 +63,9 @@ func (d *dgen) setComponentKeys(comp *joinComponent, keys []int64, rowsOf func(s
 
 // materialize builds the database instance: the schema of the silo
 // with the described rows in the extracted tables (other tables stay
-// empty — they are not referenced by the query).
+// empty — they are not referenced by the query). Each column's source
+// (its explicit sequence, join key 1 or default s-value) is resolved
+// once per table, and the rows are filled into one slab.
 func (s *Session) materialize(d *dgen) (*sqldb.Database, error) {
 	db := s.silo.CloneSchema()
 	for _, t := range s.tables {
@@ -75,31 +77,46 @@ func (s *Session) materialize(d *dgen) (*sqldb.Database, error) {
 		if err != nil {
 			return nil, err
 		}
-		schema := s.schemas[t]
-		for i := 0; i < n; i++ {
-			row := make([]sqldb.Value, len(schema.Columns))
-			for ci, cdef := range schema.Columns {
-				col := sqldb.ColRef{Table: t, Column: cdef.Name}
-				if vals, ok := d.vals[col]; ok {
-					if i >= len(vals) {
-						return nil, fmt.Errorf("dgen: column %s has %d values for %d rows", col, len(vals), n)
-					}
-					row[ci] = vals[i]
-					continue
+		cols := s.schemas[t].Columns
+		// Column ci takes seqs[ci][i] in row i, or fixed[ci] in every
+		// row when seqs[ci] is nil.
+		seqs := make([][]sqldb.Value, len(cols))
+		fixed := make([]sqldb.Value, len(cols))
+		for ci, cdef := range cols {
+			col := sqldb.ColRef{Table: t, Column: cdef.Name}
+			if vals, ok := d.vals[col]; ok {
+				if len(vals) < n {
+					return nil, fmt.Errorf("dgen: column %s has %d values for %d rows", col, len(vals), n)
 				}
-				if s.inJoinGraph(col) {
-					row[ci] = sqldb.NewInt(1)
-					continue
-				}
-				v, err := s.defaultValue(col)
-				if err != nil {
-					return nil, fmt.Errorf("dgen: %w", err)
-				}
-				row[ci] = v
+				seqs[ci] = vals
+				continue
 			}
-			if err := tbl.Insert(row...); err != nil {
+			if s.inJoinGraph(col) {
+				fixed[ci] = sqldb.NewInt(1)
+				continue
+			}
+			v, err := s.defaultValue(col)
+			if err != nil {
 				return nil, fmt.Errorf("dgen: %w", err)
 			}
+			fixed[ci] = v
+		}
+		w := len(cols)
+		slab := make([]sqldb.Value, n*w)
+		rows := make([]sqldb.Row, n)
+		for i := range rows {
+			row := slab[i*w : (i+1)*w : (i+1)*w]
+			for ci, seq := range seqs {
+				if seq != nil {
+					row[ci] = seq[i]
+				} else {
+					row[ci] = fixed[ci]
+				}
+			}
+			rows[i] = row
+		}
+		if err := tbl.InsertRows(rows); err != nil {
+			return nil, fmt.Errorf("dgen: %w", err)
 		}
 	}
 	return db, nil

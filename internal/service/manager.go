@@ -70,6 +70,10 @@ type Manager struct {
 	nextID   int64
 	queue    chan *Job
 	draining bool
+	// queued and running count the jobs in those states, updated at
+	// every transition so the gauges cost O(1) however long the
+	// history.
+	queued, running int64
 
 	workers sync.WaitGroup
 }
@@ -139,6 +143,7 @@ func Start(ctx context.Context, cfg Config) (*Manager, error) {
 		}
 		m.queue <- j
 	}
+	m.queued = int64(len(requeue))
 	m.setGauges()
 	for i := 0; i < cfg.Workers; i++ {
 		m.workers.Add(1)
@@ -185,6 +190,7 @@ func (m *Manager) Submit(ctx context.Context, spec JobSpec) (View, error) {
 	m.order = append(m.order, j.id)
 	j.stream.Publish(obs.JobEvent{Type: obs.TypeJob, ID: j.id, State: string(StateQueued)})
 	m.queue <- j // cannot block: capacity checked under the same lock
+	m.queued++
 	m.metrics.Counter("jobs_submitted").Add(1)
 	m.setGaugesLocked()
 	m.logger.WithJob(j.id).Info("job submitted", "name", spec.DisplayName())
@@ -202,6 +208,8 @@ func (m *Manager) runJob(ctx context.Context, j *Job) {
 	}
 	jctx, cancel := context.WithCancel(ctx)
 	j.state = StateRunning
+	m.queued--
+	m.running++
 	j.started = time.Now()
 	j.cancel = cancel
 	j.tracer = obs.NewTracer("extract")
@@ -241,6 +249,7 @@ func (m *Manager) runJob(ctx context.Context, j *Job) {
 	m.mu.Lock()
 	j.cancel = nil
 	j.finished = time.Now()
+	m.running--
 	latency := j.finished.Sub(j.started)
 	rec := Record{ID: j.id}
 	switch {
@@ -324,6 +333,7 @@ func (m *Manager) Cancel(ctx context.Context, id int64) (View, error) {
 		j.finished = time.Now()
 		j.errMsg = "cancelled before start"
 		j.cancelRequested = true
+		m.queued--
 		v := j.view()
 		stream := j.stream
 		m.metrics.Counter("jobs_cancelled").Add(1)
@@ -502,12 +512,14 @@ func (m *Manager) cancelRemaining() {
 			j.cancel()
 		} else if j.state == StateQueued {
 			j.state = StateCancelled
+			m.queued--
 			j.finished = time.Now()
 			j.errMsg = "cancelled by drain"
 			j.stream.Publish(obs.JobEvent{Type: obs.TypeJob, ID: j.id, State: string(StateCancelled), Err: j.errMsg})
 			j.stream.Close()
 		}
 	}
+	m.setGaugesLocked()
 }
 
 // append writes one store record stamped with the wall clock; a nil
@@ -517,7 +529,8 @@ func (m *Manager) append(ctx context.Context, rec Record) error {
 	return m.store.Append(ctx, rec)
 }
 
-// setGauges / setGaugesLocked refresh the queue and state gauges.
+// setGauges / setGaugesLocked publish the queue depth and the
+// queued and running counters.
 func (m *Manager) setGauges() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -529,15 +542,6 @@ func (m *Manager) setGaugesLocked() {
 		return
 	}
 	m.metrics.Gauge("queue_depth").Set(int64(len(m.queue)))
-	var running, queued int64
-	for _, j := range m.jobs {
-		switch j.state {
-		case StateRunning:
-			running++
-		case StateQueued:
-			queued++
-		}
-	}
-	m.metrics.Gauge("jobs_running").Set(running)
-	m.metrics.Gauge("jobs_queued").Set(queued)
+	m.metrics.Gauge("jobs_running").Set(m.running)
+	m.metrics.Gauge("jobs_queued").Set(m.queued)
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"math/rand"
 	"path/filepath"
 	"strconv"
 	"sync"
@@ -344,5 +346,94 @@ func TestManagerHardDrain(t *testing.T) {
 	}
 	if v.State != service.StateCancelled && v.State != service.StateDone {
 		t.Fatalf("after hard drain job is %s, want cancelled (or done if it raced)", v.State)
+	}
+}
+
+// checkGauges compares the queued and running gauges with a recount
+// from Counts. Transitions run concurrently with the check, so it
+// retries until Counts reads the same on both sides of the gauge reads:
+// every transition changes Counts and sets the gauges under the lock
+// Counts takes.
+func checkGauges(t *testing.T, m *service.Manager, met *obs.Metrics, when string) {
+	t.Helper()
+	for attempt := 0; attempt < 1000; attempt++ {
+		before := m.Counts()
+		queued, running := met.Gauge("jobs_queued").Value(), met.Gauge("jobs_running").Value()
+		if !maps.Equal(before, m.Counts()) {
+			continue
+		}
+		if queued != int64(before[service.StateQueued]) || running != int64(before[service.StateRunning]) {
+			t.Fatalf("%s: gauges queued=%d running=%d, recount %v", when, queued, running, before)
+		}
+		return
+	}
+	t.Fatalf("%s: jobs never held still for a gauge check", when)
+}
+
+// TestGaugesTrackTransitions drives a random mix of job transitions —
+// restart requeue, submit, start, terminal, cancel while queued or
+// running, and drain cancel — and checks the queued and running
+// gauges against a recount after every step.
+func TestGaugesTrackTransitions(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	ctx := context.Background()
+	path := filepath.Join(t.TempDir(), "jobs.jsonl")
+	// A crashed daemon's log: jobs 1-4 never finished, so Start
+	// requeues them.
+	st, _, err := service.OpenStore(ctx, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	interrupted := inlineSpec("interrupted")
+	var ids []int64
+	for id := int64(1); id <= 4; id++ {
+		recs := []service.Record{{ID: id, State: service.StateQueued, Spec: &interrupted}}
+		if id%2 == 0 {
+			recs = append(recs, service.Record{ID: id, State: service.StateRunning})
+		}
+		for _, r := range recs {
+			if err := st.Append(ctx, r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ids = append(ids, id)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	met := obs.NewMetrics()
+	mgr, err := service.Start(ctx, service.Config{Workers: 1, QueueDepth: 64, StorePath: path, Metrics: met})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGauges(t, mgr, met, "after restart")
+	rng := rand.New(rand.NewSource(1))
+	for step := 0; step < 40; step++ {
+		switch id := ids[rng.Intn(len(ids))]; rng.Intn(4) {
+		case 0:
+			if _, err := mgr.Cancel(ctx, id); err != nil && !errors.Is(err, service.ErrTerminal) {
+				t.Fatalf("cancel %d: %v", id, err)
+			}
+		case 1:
+			waitTerminal(t, mgr, id)
+		default:
+			v, err := mgr.Submit(ctx, inlineSpec(fmt.Sprintf("step-%d", step)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, v.ID)
+		}
+		checkGauges(t, mgr, met, fmt.Sprintf("step %d", step))
+	}
+	// A drain whose context has already expired cancels the backlog.
+	dctx, cancel := context.WithCancel(ctx)
+	cancel()
+	mgr.Drain(dctx)
+	checkGauges(t, mgr, met, "after drain")
+	if q, r := met.Gauge("jobs_queued").Value(), met.Gauge("jobs_running").Value(); q != 0 || r != 0 {
+		t.Fatalf("after drain: queued=%d running=%d, want 0", q, r)
 	}
 }

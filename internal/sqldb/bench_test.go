@@ -110,6 +110,48 @@ func BenchmarkDatabaseClone(b *testing.B) {
 	}
 }
 
+// Sinks keep the compiler from discarding the hashes under benchmark.
+var (
+	fingerprintSink sqldb.Fingerprint
+	digestSink      sqldb.ResultDigest
+)
+
+// BenchmarkFingerprint hashes benchDB's instance: a fact table of n
+// rows (int, float, text) plus an n/10-row dimension. Allocations per
+// call must stay flat as n grows:
+//
+//	go test -run '^$' -bench 'BenchmarkFingerprint|BenchmarkDigest' -benchmem ./internal/sqldb
+func BenchmarkFingerprint(b *testing.B) {
+	for _, n := range []int{400, 4000} {
+		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
+			db := benchDB(b, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				fingerprintSink = db.Fingerprint()
+			}
+		})
+	}
+}
+
+// BenchmarkDigest hashes the n-row result of scanning benchDB's fact
+// table.
+func BenchmarkDigest(b *testing.B) {
+	for _, n := range []int{400, 4000} {
+		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
+			res, err := benchDB(b, n).Execute(context.Background(), sqlparser.MustParse("select fk, val, cat from fact"))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				digestSink = res.Digest()
+			}
+		})
+	}
+}
+
 // BenchmarkOracleVsVector times the tree-walking oracle against the
 // vector engine on the query shapes predicate minimization hammers
 // on: point lookups (20k rows), Q1-style grouped aggregation (30k

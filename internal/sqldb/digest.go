@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"sort"
+	"slices"
 )
 
 // ResultDigest is a content hash over a query/application result.
@@ -34,35 +34,49 @@ func (r *Result) Digest() ResultDigest {
 	if r == nil {
 		return out
 	}
+	// Canonical row encoding: each row is framed into one shared slab,
+	// then an index over the frames is sorted by frame bytes — a
+	// multiset hash.
+	slabBuf := getCanonBuf()
+	slab := *slabBuf
+	frames := make([]frameSpan, len(r.Rows))
+	for i, row := range r.Rows {
+		lo := len(slab)
+		slab = appendCanonInt(slab, int64(len(row)))
+		for _, v := range row {
+			slab = appendCanonValue(slab, v)
+		}
+		frames[i] = frameSpan{lo, len(slab)}
+	}
+	slices.SortFunc(frames, func(a, b frameSpan) int {
+		return bytes.Compare(slab[a.lo:a.hi], slab[b.lo:b.hi])
+	})
+
 	h := sha256.New()
-	c := &canonWriter{w: h}
-	c.writeInt(int64(len(r.Columns)))
+	buf := getCanonBuf()
+	b := *buf
+	b = appendCanonInt(b, int64(len(r.Columns)))
 	for _, col := range r.Columns {
-		c.writeStr(col)
+		b = appendCanonStr(b, col)
 	}
 	if r.aggEmptyInput {
-		h.Write([]byte{1})
+		b = append(b, 1)
 	} else {
-		h.Write([]byte{0})
+		b = append(b, 0)
 	}
-	// Canonical row encoding: each row is framed into its own buffer,
-	// then the frames are sorted — a multiset hash.
-	frames := make([][]byte, len(r.Rows))
-	for i, row := range r.Rows {
-		var buf bytes.Buffer
-		rc := &canonWriter{w: &buf}
-		rc.writeInt(int64(len(row)))
-		for _, v := range row {
-			rc.writeValue(v)
-		}
-		frames[i] = buf.Bytes()
-	}
-	sort.Slice(frames, func(i, j int) bool { return bytes.Compare(frames[i], frames[j]) < 0 })
-	c.writeInt(int64(len(frames)))
+	b = appendCanonInt(b, int64(len(frames)))
 	for _, f := range frames {
-		c.writeInt(int64(len(f)))
-		h.Write(f)
+		b = appendCanonInt(b, int64(f.hi-f.lo))
+		b = append(b, slab[f.lo:f.hi]...)
+		b = flushCanon(h, b)
 	}
+	h.Write(b)
+	*buf, *slabBuf = b, slab
+	putCanonBuf(buf)
+	putCanonBuf(slabBuf)
 	h.Sum(out[:0])
 	return out
 }
+
+// frameSpan locates one row frame in Digest's slab.
+type frameSpan struct{ lo, hi int }

@@ -3,8 +3,9 @@ package sqldb
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"io"
+	"hash"
 	"math"
+	"sync"
 )
 
 // Fingerprint is a content hash over a whole database instance. Two
@@ -15,42 +16,72 @@ import (
 // result, so the second run can be skipped entirely.
 type Fingerprint [sha256.Size]byte
 
-// canonWriter frames values into w with the canonical length-
-// prefixed, type-tagged encoding shared by Database.Fingerprint and
+// The canonical encoding shared by Database.Fingerprint and
 // Result.Digest: strings are length-prefixed, numbers little-endian,
 // and every value carries its type tag, so a NULL, an int 0 and an
-// empty string all encode differently.
-type canonWriter struct {
-	w       io.Writer
-	scratch [8]byte
-}
+// empty string all encode differently. The encoders append to a byte
+// slice, and the hashers feed SHA-256 from one pooled buffer in
+// canonChunk pieces, so encoding a value allocates nothing.
 
-func (c *canonWriter) writeInt(i int64) {
-	binary.LittleEndian.PutUint64(c.scratch[:], uint64(i))
-	c.w.Write(c.scratch[:])
-}
+// canonChunk is the buffer size at which a hasher hands its encoded
+// bytes to SHA-256.
+const canonChunk = 32 << 10
 
-func (c *canonWriter) writeStr(s string) {
-	c.writeInt(int64(len(s)))
-	io.WriteString(c.w, s)
-}
+// maxPooledBuf keeps a large digest slab from pinning its memory in
+// the pool.
+const maxPooledBuf = 1 << 20
 
-// writeValue encodes one value with an unambiguous type-tagged
-// encoding.
-func (c *canonWriter) writeValue(v Value) {
-	if v.Null {
-		c.w.Write([]byte{0xff, byte(v.Typ)})
+// canonBufs recycles encode buffers: the daemon fingerprints and
+// digests every probe of every job.
+var canonBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, canonChunk)
+	return &b
+}}
+
+func getCanonBuf() *[]byte { return canonBufs.Get().(*[]byte) }
+
+// putCanonBuf returns a buffer to the pool; b must hold the buffer's
+// latest slice header.
+func putCanonBuf(b *[]byte) {
+	if cap(*b) > maxPooledBuf {
 		return
 	}
-	c.w.Write([]byte{byte(v.Typ)})
+	*b = (*b)[:0]
+	canonBufs.Put(b)
+}
+
+func appendCanonInt(b []byte, i int64) []byte {
+	return binary.LittleEndian.AppendUint64(b, uint64(i))
+}
+
+func appendCanonStr(b []byte, s string) []byte {
+	return append(appendCanonInt(b, int64(len(s))), s...)
+}
+
+// appendCanonValue appends the type-tagged encoding of one value.
+func appendCanonValue(b []byte, v Value) []byte {
+	if v.Null {
+		return append(b, 0xff, byte(v.Typ))
+	}
+	b = append(b, byte(v.Typ))
 	switch v.Typ {
 	case TText:
-		c.writeStr(v.S)
+		return appendCanonStr(b, v.S)
 	case TFloat:
-		c.writeInt(int64(math.Float64bits(v.F)))
+		return appendCanonInt(b, int64(math.Float64bits(v.F)))
 	default: // TInt, TDate, TBool
-		c.writeInt(v.I)
+		return appendCanonInt(b, v.I)
 	}
+}
+
+// flushCanon hands b to h once it holds a chunk and returns it
+// emptied; a shorter b is returned as is.
+func flushCanon(h hash.Hash, b []byte) []byte {
+	if len(b) < canonChunk {
+		return b
+	}
+	h.Write(b)
+	return b[:0]
 }
 
 // Fingerprint computes the content hash of the database. The hash
@@ -66,23 +97,28 @@ func (db *Database) Fingerprint() Fingerprint {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	h := sha256.New()
-	c := &canonWriter{w: h}
+	buf := getCanonBuf()
+	b := *buf
 	for _, name := range db.order {
 		t := db.tables[name]
-		c.writeStr(t.Schema.Name)
-		c.writeInt(int64(len(t.Schema.Columns)))
+		b = appendCanonStr(b, t.Schema.Name)
+		b = appendCanonInt(b, int64(len(t.Schema.Columns)))
 		for _, col := range t.Schema.Columns {
-			c.writeStr(col.Name)
-			h.Write([]byte{byte(col.Type), byte(col.Precision)})
-			c.writeInt(int64(col.MaxLen))
+			b = appendCanonStr(b, col.Name)
+			b = append(b, byte(col.Type), byte(col.Precision))
+			b = appendCanonInt(b, int64(col.MaxLen))
 		}
-		c.writeInt(int64(len(t.Rows)))
+		b = appendCanonInt(b, int64(len(t.Rows)))
 		for _, r := range t.Rows {
 			for _, v := range r {
-				c.writeValue(v)
+				b = appendCanonValue(b, v)
 			}
+			b = flushCanon(h, b)
 		}
 	}
+	h.Write(b)
+	*buf = b
+	putCanonBuf(buf)
 	var out Fingerprint
 	h.Sum(out[:0])
 	return out

@@ -75,20 +75,29 @@ func CopyRows(rows []Row) []Row { return append([]Row(nil), rows...) }
 
 // Insert appends a row after validating arity and types; NULLs are
 // accepted for any column, and int literals are coerced into float
-// columns.
+// columns. It is the one-row case of InsertRows.
 func (t *Table) Insert(vals ...Value) error {
-	if len(vals) != len(t.Schema.Columns) {
-		return fmt.Errorf("table %s: insert arity %d, want %d", t.Schema.Name, len(vals), len(t.Schema.Columns))
-	}
-	row := make(Row, len(vals))
-	for i, v := range vals {
-		cv, err := coerce(v, t.Schema.Columns[i])
-		if err != nil {
-			return fmt.Errorf("table %s column %s: %w", t.Schema.Name, t.Schema.Columns[i].Name, err)
+	return t.InsertRows([]Row{append(Row(nil), vals...)})
+}
+
+// InsertRows validates and coerces every row as Insert does, then
+// appends them all. The rows are adopted, not copied, and coerced in
+// place: callers must not reuse them. On error the table is unchanged.
+func (t *Table) InsertRows(rows []Row) error {
+	cols := t.Schema.Columns
+	for _, row := range rows {
+		if len(row) != len(cols) {
+			return fmt.Errorf("table %s: insert arity %d, want %d", t.Schema.Name, len(row), len(cols))
 		}
-		row[i] = cv
+		for i, v := range row {
+			cv, err := coerce(v, cols[i])
+			if err != nil {
+				return fmt.Errorf("table %s column %s: %w", t.Schema.Name, cols[i].Name, err)
+			}
+			row[i] = cv
+		}
 	}
-	t.Rows = append(t.Rows, row)
+	t.Rows = append(t.Rows, rows...)
 	t.invalidateIndexes()
 	return nil
 }

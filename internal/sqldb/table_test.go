@@ -51,6 +51,27 @@ func TestInsertErrors(t *testing.T) {
 	}
 }
 
+// TestInsertRowsAllOrNothing: a bulk insert coerces every row like
+// Insert, and one bad row leaves the table untouched.
+func TestInsertRowsAllOrNothing(t *testing.T) {
+	tbl := NewTable(testSchema())
+	good := Row{NewInt(1), NewInt(2), NewText("a"), NewInt(3)}
+	bad := Row{NewInt(2), NewFloat(0), NewText("toolong"), NewInt(0)}
+	if err := tbl.InsertRows([]Row{good, bad}); err == nil {
+		t.Fatal("overlong text in the second row should error")
+	}
+	if tbl.RowCount() != 0 {
+		t.Fatalf("failed bulk insert left %d rows", tbl.RowCount())
+	}
+	rows := []Row{{NewInt(1), NewInt(2), NewText("a"), NewInt(3)}, {NewInt(4), NewFloat(1.239), NewNull(TInt), NewInt(5)}}
+	if err := tbl.InsertRows(rows); err != nil {
+		t.Fatal(err)
+	}
+	if tbl.RowCount() != 2 || tbl.Rows[0][1] != NewFloat(2) || tbl.Rows[1][1].F != 1.24 || tbl.Rows[1][2] != NewNull(TText) {
+		t.Fatalf("bulk insert did not coerce like Insert: %v", tbl.Rows)
+	}
+}
+
 func TestGetSetNegate(t *testing.T) {
 	tbl := NewTable(testSchema())
 	tbl.MustInsert(NewInt(5), NewFloat(1.5), NewText("a"), NewInt(10))

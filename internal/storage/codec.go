@@ -58,65 +58,98 @@ func appendRow(buf []byte, row sqldb.Row) []byte {
 	return buf
 }
 
+// scanValue checks the structure of the value at b[off:] and returns
+// its tag, its payload bytes (nil for a NULL) and the offset just past
+// it. It allocates nothing.
+func scanValue(b []byte, off int) (tag byte, payload []byte, next int, err error) {
+	if off >= len(b) {
+		return 0, nil, 0, fmt.Errorf("storage: short value at %d: %w", off, ErrTornRecord)
+	}
+	tag = b[off]
+	off++
+	if tag&nullBit != 0 {
+		return tag, nil, off, nil
+	}
+	n := 8 // float bits or int64
+	if sqldb.Type(tag) == sqldb.TText {
+		if off+4 > len(b) {
+			return 0, nil, 0, fmt.Errorf("storage: short text length at %d: %w", off, ErrTornRecord)
+		}
+		n = int(binary.LittleEndian.Uint32(b[off:]))
+		off += 4
+	}
+	if n > len(b)-off {
+		return 0, nil, 0, fmt.Errorf("storage: short %s payload at %d: %w", sqldb.Type(tag), off, ErrTornRecord)
+	}
+	return tag, b[off : off+n], off + n, nil
+}
+
 // decodeValue decodes one value at b[off:], returning the value and
 // the offset just past it.
 func decodeValue(b []byte, off int) (sqldb.Value, int, error) {
-	if off >= len(b) {
-		return sqldb.Value{}, 0, fmt.Errorf("storage: short value at %d: %w", off, ErrTornRecord)
+	tag, payload, next, err := scanValue(b, off)
+	if err != nil {
+		return sqldb.Value{}, 0, err
 	}
-	tag := b[off]
-	off++
 	v := sqldb.Value{Typ: sqldb.Type(tag &^ nullBit)}
-	if tag&nullBit != 0 {
+	switch {
+	case tag&nullBit != 0:
 		v.Null = true
-		return v, off, nil
-	}
-	switch v.Typ {
-	case sqldb.TText:
-		if off+4 > len(b) {
-			return sqldb.Value{}, 0, fmt.Errorf("storage: short text length at %d: %w", off, ErrTornRecord)
-		}
-		n := int(binary.LittleEndian.Uint32(b[off:]))
-		off += 4
-		if n < 0 || off+n > len(b) {
-			return sqldb.Value{}, 0, fmt.Errorf("storage: short text payload at %d: %w", off, ErrTornRecord)
-		}
-		v.S = string(b[off : off+n])
-		off += n
-	case sqldb.TFloat:
-		if off+8 > len(b) {
-			return sqldb.Value{}, 0, fmt.Errorf("storage: short float at %d: %w", off, ErrTornRecord)
-		}
-		v.F = math.Float64frombits(binary.LittleEndian.Uint64(b[off:]))
-		off += 8
+	case v.Typ == sqldb.TText:
+		v.S = string(payload)
+	case v.Typ == sqldb.TFloat:
+		v.F = math.Float64frombits(binary.LittleEndian.Uint64(payload))
 	default:
-		if off+8 > len(b) {
-			return sqldb.Value{}, 0, fmt.Errorf("storage: short int at %d: %w", off, ErrTornRecord)
-		}
-		v.I = int64(binary.LittleEndian.Uint64(b[off:]))
-		off += 8
+		v.I = int64(binary.LittleEndian.Uint64(payload))
 	}
-	return v, off, nil
+	return v, next, nil
+}
+
+// rowWidth reads the value count of the row record at b[off:] and
+// returns it with the offset of the first value. A count larger than
+// the bytes left (each value takes at least its tag byte) is a torn
+// record, so callers may size allocations by it.
+func rowWidth(b []byte, off int) (int, int, error) {
+	if off+2 > len(b) {
+		return 0, 0, fmt.Errorf("storage: short row header at %d: %w", off, ErrTornRecord)
+	}
+	n := int(binary.LittleEndian.Uint16(b[off:]))
+	off += 2
+	if n > len(b)-off {
+		return 0, 0, fmt.Errorf("storage: row of %d values at %d overruns the record: %w", n, off, ErrTornRecord)
+	}
+	return n, off, nil
 }
 
 // decodeRowAt decodes one row record (as produced by appendRow) at
 // b[off:], returning the row and the offset just past it.
 func decodeRowAt(b []byte, off int) (sqldb.Row, int, error) {
-	if off+2 > len(b) {
-		return nil, 0, fmt.Errorf("storage: short row header at %d: %w", off, ErrTornRecord)
+	n, off, err := rowWidth(b, off)
+	if err != nil {
+		return nil, 0, err
 	}
-	ncols := int(binary.LittleEndian.Uint16(b[off:]))
-	off += 2
-	row := make(sqldb.Row, 0, ncols)
-	for i := 0; i < ncols; i++ {
-		v, next, err := decodeValue(b, off)
-		if err != nil {
+	row := make(sqldb.Row, n)
+	for i := range row {
+		if row[i], off, err = decodeValue(b, off); err != nil {
 			return nil, 0, err
 		}
-		row = append(row, v)
-		off = next
 	}
 	return row, off, nil
+}
+
+// skipRowAt checks the structure of the row record at b[off:] without
+// decoding it, returning the offset just past it.
+func skipRowAt(b []byte, off int) (int, error) {
+	n, off, err := rowWidth(b, off)
+	if err != nil {
+		return 0, err
+	}
+	for i := 0; i < n; i++ {
+		if _, _, off, err = scanValue(b, off); err != nil {
+			return 0, err
+		}
+	}
+	return off, nil
 }
 
 // decodeRow decodes one full row record. The record must be exactly

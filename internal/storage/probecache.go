@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -37,23 +38,21 @@ import (
 // Timeouts and context cancellations are never handed to Put by the
 // scheduler (they are environmental, not properties of (E, D)), so
 // every record is a deterministic outcome safe to replay forever.
+//
+// In memory the cache keeps each record as its encoded bytes, which
+// hold no pointers for the garbage collector to trace; Get decodes a
+// private result per call.
 type ProbeCache struct {
 	mu     sync.Mutex
 	f      *os.File
 	path   string
-	mem    map[cacheKey]*cacheValue
+	mem    map[cacheKey][]byte // key -> record body (the payload after the key)
 	writes int64
 	closed bool
 	err    error // sticky append error: cache degrades to read-only
 }
 
 type cacheKey [sha256.Size]byte
-
-type cacheValue struct {
-	errKind byte
-	errMsg  string
-	res     *sqldb.Result // nil when absent
-}
 
 const (
 	errKindNone        = 0
@@ -66,8 +65,14 @@ const (
 // OOM recovery.
 const maxCachePayload = 1 << 28 // 256 MiB
 
+// maxCacheU16 is the largest column count, column-name length and row
+// width the record format can hold.
+const maxCacheU16 = math.MaxUint16
+
 // OpenProbeCache opens (creating if needed) the cache log at path,
-// truncating any torn tail and loading all intact records.
+// truncating any torn tail and loading all intact records. Every
+// record's structure is checked, so a record that would not decode is
+// truncated as torn here rather than failing a later Get.
 func OpenProbeCache(path string) (*ProbeCache, error) {
 	if dir := filepath.Dir(path); dir != "." {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -78,17 +83,20 @@ func OpenProbeCache(path string) (*ProbeCache, error) {
 	if err != nil {
 		return nil, fmt.Errorf("storage: open probe cache: %w", err)
 	}
-	pc := &ProbeCache{f: f, path: path, mem: make(map[cacheKey]*cacheValue)}
+	pc := &ProbeCache{f: f, path: path, mem: make(map[cacheKey][]byte)}
 	if _, _, err := RecoverTail(f, func(r *bufio.Reader) (int64, error) {
 		payload, n, err := readFrame(r, maxCachePayload)
 		if err != nil {
 			return 0, err
 		}
-		key, val, err := decodeCacheRecord(payload)
-		if err != nil {
+		if len(payload) < sha256.Size {
+			return 0, fmt.Errorf("storage: short cache record: %w", ErrTornRecord)
+		}
+		body := payload[sha256.Size:]
+		if _, _, _, err := readRecord(body, false); err != nil {
 			return 0, err
 		}
-		pc.mem[key] = val
+		pc.mem[cacheKey(payload[:sha256.Size])] = body
 		return n, nil
 	}); err != nil {
 		f.Close()
@@ -138,20 +146,22 @@ func nsKey(namespace string, fp sqldb.Fingerprint) cacheKey {
 
 func (pc *ProbeCache) get(key cacheKey) (*sqldb.Result, error, bool) {
 	pc.mu.Lock()
-	val, ok := pc.mem[key]
+	body, ok := pc.mem[key]
 	pc.mu.Unlock()
 	if !ok {
 		return nil, nil, false
 	}
-	var res *sqldb.Result
-	if val.res != nil {
-		res = val.res.Clone()
+	res, errKind, errMsg, err := readRecord(body, true)
+	if err != nil {
+		// Unreachable: open checked every loaded record and Put stores
+		// only what encodeRecord built. Serve a miss, so the probe runs.
+		return nil, nil, false
 	}
-	switch val.errKind {
+	switch errKind {
 	case errKindNoSuchTable:
-		return res, &cachedErr{msg: val.errMsg, base: sqldb.ErrNoSuchTable}, true
+		return res, &cachedErr{msg: errMsg, base: sqldb.ErrNoSuchTable}, true
 	case errKindApp:
-		return res, &cachedErr{msg: val.errMsg}, true
+		return res, &cachedErr{msg: errMsg}, true
 	default:
 		return res, nil, true
 	}
@@ -169,20 +179,12 @@ type cachedErr struct {
 func (e *cachedErr) Error() string { return e.msg }
 func (e *cachedErr) Unwrap() error { return e.base }
 
+// put records one outcome. An outcome the record format cannot hold
+// is not cached at all, and the cache stays writable.
 func (pc *ProbeCache) put(key cacheKey, res *sqldb.Result, err error) {
-	val := &cacheValue{}
-	switch {
-	case err == nil:
-		val.errKind = errKindNone
-	case errors.Is(err, sqldb.ErrNoSuchTable):
-		val.errKind = errKindNoSuchTable
-		val.errMsg = err.Error()
-	default:
-		val.errKind = errKindApp
-		val.errMsg = err.Error()
-	}
-	if res != nil {
-		val.res = res.Clone()
+	payload, ok := encodeRecord(key, res, err)
+	if !ok {
+		return
 	}
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
@@ -192,8 +194,8 @@ func (pc *ProbeCache) put(key cacheKey, res *sqldb.Result, err error) {
 	if _, ok := pc.mem[key]; ok {
 		return // idempotent: first writer wins, outcomes are deterministic
 	}
-	pc.mem[key] = val
-	if werr := pc.append(key, val); werr != nil {
+	pc.mem[key] = payload[sha256.Size:]
+	if werr := pc.append(payload); werr != nil {
 		// Degrade to read-only: in-memory hits keep working, the loss
 		// is durability of new entries. Surfaced at Close.
 		pc.err = werr
@@ -202,34 +204,7 @@ func (pc *ProbeCache) put(key cacheKey, res *sqldb.Result, err error) {
 }
 
 // append must be called with pc.mu held.
-func (pc *ProbeCache) append(key cacheKey, val *cacheValue) error {
-	payload := make([]byte, 0, 64)
-	payload = append(payload, key[:]...)
-	payload = append(payload, val.errKind)
-	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(val.errMsg)))
-	payload = append(payload, val.errMsg...)
-	if val.res == nil {
-		payload = append(payload, 0)
-	} else {
-		payload = append(payload, 1)
-		if val.res.AggEmptyInput() {
-			payload = append(payload, 1)
-		} else {
-			payload = append(payload, 0)
-		}
-		payload = binary.LittleEndian.AppendUint16(payload, uint16(len(val.res.Columns)))
-		for _, c := range val.res.Columns {
-			payload = binary.LittleEndian.AppendUint16(payload, uint16(len(c)))
-			payload = append(payload, c...)
-		}
-		payload = binary.LittleEndian.AppendUint32(payload, uint32(len(val.res.Rows)))
-		for _, row := range val.res.Rows {
-			payload = appendRow(payload, row)
-		}
-	}
-	if len(payload) > maxCachePayload {
-		return fmt.Errorf("storage: probe-cache record too large (%d bytes)", len(payload))
-	}
+func (pc *ProbeCache) append(payload []byte) error {
 	if err := writeFrame(pc.f, payload); err != nil {
 		return err
 	}
@@ -239,69 +214,146 @@ func (pc *ProbeCache) append(key cacheKey, val *cacheValue) error {
 	return nil
 }
 
-func decodeCacheRecord(payload []byte) (cacheKey, *cacheValue, error) {
-	var key cacheKey
-	if len(payload) < sha256.Size+1+4 {
-		return key, nil, fmt.Errorf("storage: short cache record: %w", ErrTornRecord)
+// encodeRecord builds the payload of one outcome. ok is false when
+// the format cannot hold it: more than maxCacheU16 columns, a column
+// name longer than maxCacheU16 bytes, a row wider than maxCacheU16
+// values, or a payload over maxCachePayload.
+func encodeRecord(key cacheKey, res *sqldb.Result, err error) (payload []byte, ok bool) {
+	errKind, errMsg := byte(errKindNone), ""
+	switch {
+	case err == nil:
+	case errors.Is(err, sqldb.ErrNoSuchTable):
+		errKind, errMsg = errKindNoSuchTable, err.Error()
+	default:
+		errKind, errMsg = errKindApp, err.Error()
 	}
-	copy(key[:], payload)
-	off := sha256.Size
-	val := &cacheValue{errKind: payload[off]}
-	off++
-	msgLen := int(binary.LittleEndian.Uint32(payload[off:]))
-	off += 4
-	if off+msgLen+1 > len(payload) {
-		return key, nil, fmt.Errorf("storage: short cache error message: %w", ErrTornRecord)
+	payload = make([]byte, 0, 64)
+	payload = append(payload, key[:]...)
+	payload = append(payload, errKind)
+	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(errMsg)))
+	payload = append(payload, errMsg...)
+	if res == nil {
+		payload = append(payload, 0)
+		return payload, len(payload) <= maxCachePayload
 	}
-	val.errMsg = string(payload[off : off+msgLen])
+	if len(res.Columns) > maxCacheU16 {
+		return nil, false
+	}
+	payload = append(payload, 1)
+	if res.AggEmptyInput() {
+		payload = append(payload, 1)
+	} else {
+		payload = append(payload, 0)
+	}
+	payload = binary.LittleEndian.AppendUint16(payload, uint16(len(res.Columns)))
+	for _, c := range res.Columns {
+		if len(c) > maxCacheU16 {
+			return nil, false
+		}
+		payload = binary.LittleEndian.AppendUint16(payload, uint16(len(c)))
+		payload = append(payload, c...)
+	}
+	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(res.Rows)))
+	for _, row := range res.Rows {
+		if len(row) > maxCacheU16 {
+			return nil, false
+		}
+		payload = appendRow(payload, row)
+		if len(payload) > maxCachePayload {
+			return nil, false
+		}
+	}
+	return payload, len(payload) <= maxCachePayload
+}
+
+// readRecord parses a record body, the payload after its key. With
+// decode unset it only checks the structure and allocates nothing;
+// with decode set it also returns the outcome, as values private to
+// the caller. Every count is checked against the bytes left before
+// anything is sized by it, so a corrupt record fails as torn.
+func readRecord(body []byte, decode bool) (res *sqldb.Result, errKind byte, errMsg string, err error) {
+	torn := func(what string) error {
+		return fmt.Errorf("storage: short cache %s: %w", what, ErrTornRecord)
+	}
+	if len(body) < 1+4 {
+		return nil, 0, "", torn("record")
+	}
+	errKind = body[0]
+	msgLen := int(binary.LittleEndian.Uint32(body[1:]))
+	off := 1 + 4
+	if msgLen > len(body)-off-1 {
+		return nil, 0, "", torn("error message")
+	}
+	if decode {
+		errMsg = string(body[off : off+msgLen])
+	}
 	off += msgLen
-	hasRes := payload[off]
+	hasRes := body[off]
 	off++
 	if hasRes == 0 {
-		if off != len(payload) {
-			return key, nil, fmt.Errorf("storage: trailing cache bytes: %w", ErrTornRecord)
+		if off != len(body) {
+			return nil, 0, "", fmt.Errorf("storage: trailing cache bytes: %w", ErrTornRecord)
 		}
-		return key, val, nil
+		return nil, errKind, errMsg, nil
 	}
-	if off+1+2 > len(payload) {
-		return key, nil, fmt.Errorf("storage: short cache result header: %w", ErrTornRecord)
+	if off+1+2 > len(body) {
+		return nil, 0, "", torn("result header")
 	}
-	aggEmpty := payload[off] == 1
-	off++
-	ncols := int(binary.LittleEndian.Uint16(payload[off:]))
-	off += 2
-	cols := make([]string, 0, ncols)
+	aggEmpty := body[off] == 1
+	ncols := int(binary.LittleEndian.Uint16(body[off+1:]))
+	off += 1 + 2
+	// Each column name takes at least its u16 length.
+	if ncols > (len(body)-off)/2 {
+		return nil, 0, "", torn("column count")
+	}
+	var cols []string
+	if decode {
+		cols = make([]string, 0, ncols)
+	}
 	for i := 0; i < ncols; i++ {
-		if off+2 > len(payload) {
-			return key, nil, fmt.Errorf("storage: short cache column: %w", ErrTornRecord)
+		if off+2 > len(body) {
+			return nil, 0, "", torn("column")
 		}
-		n := int(binary.LittleEndian.Uint16(payload[off:]))
+		n := int(binary.LittleEndian.Uint16(body[off:]))
 		off += 2
-		if off+n > len(payload) {
-			return key, nil, fmt.Errorf("storage: short cache column name: %w", ErrTornRecord)
+		if n > len(body)-off {
+			return nil, 0, "", torn("column name")
 		}
-		cols = append(cols, string(payload[off:off+n]))
+		if decode {
+			cols = append(cols, string(body[off:off+n]))
+		}
 		off += n
 	}
-	if off+4 > len(payload) {
-		return key, nil, fmt.Errorf("storage: short cache row count: %w", ErrTornRecord)
+	if off+4 > len(body) {
+		return nil, 0, "", torn("row count")
 	}
-	nrows := int(binary.LittleEndian.Uint32(payload[off:]))
+	nrows := int(binary.LittleEndian.Uint32(body[off:]))
 	off += 4
-	rows := make([]sqldb.Row, 0, nrows)
+	// Each row takes at least its u16 width.
+	if nrows > (len(body)-off)/2 {
+		return nil, 0, "", torn("row count")
+	}
+	var rows []sqldb.Row
+	if decode {
+		rows = make([]sqldb.Row, nrows)
+	}
 	for i := 0; i < nrows; i++ {
-		row, next, err := decodeRowAt(payload, off)
-		if err != nil {
-			return key, nil, err
+		if decode {
+			rows[i], off, err = decodeRowAt(body, off)
+		} else {
+			off, err = skipRowAt(body, off)
 		}
-		rows = append(rows, row)
-		off = next
+		if err != nil {
+			return nil, 0, "", err
+		}
 	}
-	if off != len(payload) {
-		return key, nil, fmt.Errorf("storage: trailing cache bytes: %w", ErrTornRecord)
+	if off != len(body) {
+		return nil, 0, "", fmt.Errorf("storage: trailing cache bytes: %w", ErrTornRecord)
 	}
-	val.res = sqldb.RestoreResult(cols, rows, aggEmpty)
-	return key, val, nil
+	if decode {
+		res = sqldb.RestoreResult(cols, rows, aggEmpty)
+	}
+	return res, errKind, errMsg, nil
 }
 
 // NSCache is one namespace's view of a ProbeCache. It implements

@@ -2,11 +2,16 @@ package storage
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 
 	"unmasque/internal/sqldb"
@@ -235,6 +240,183 @@ func TestProbeCacheDegradesToReadOnly(t *testing.T) {
 	}
 	if err := pc.Close(); err == nil {
 		t.Fatal("Close swallowed the sticky append error")
+	}
+}
+
+// TestProbeCacheSkipsUnencodableOutcomes: an outcome the record
+// format cannot hold (here a 70,000-byte column alias, 65,536 columns
+// and a 65,536-value row, each past a u16 field) is not cached, leaves
+// no record behind and does not make the cache read-only; the records
+// around it survive a reopen.
+func TestProbeCacheSkipsUnencodableOutcomes(t *testing.T) {
+	path := cachePath(t)
+	pc := openCache(t, path)
+	ns := pc.Namespace("n")
+	ns.Put(sqldb.Fingerprint{1}, sampleResult(), nil)
+	wide := make(sqldb.Row, maxCacheU16+1)
+	for i := range wide {
+		wide[i] = sqldb.NewInt(int64(i))
+	}
+	unencodable := []*sqldb.Result{
+		sqldb.RestoreResult([]string{strings.Repeat("a", 70000)}, []sqldb.Row{{sqldb.NewInt(1)}}, false),
+		sqldb.RestoreResult(make([]string, maxCacheU16+1), nil, false),
+		sqldb.RestoreResult([]string{"w"}, []sqldb.Row{wide}, false),
+	}
+	for i, res := range unencodable {
+		ns.Put(sqldb.Fingerprint{2, byte(i)}, res, nil)
+	}
+	ns.Put(sqldb.Fingerprint{3}, sampleResult(), nil)
+	if pc.err != nil {
+		t.Fatalf("an unencodable outcome degraded the cache: %v", pc.err)
+	}
+	check := func(ctx string, pc *ProbeCache) {
+		t.Helper()
+		if pc.Len() != 2 {
+			t.Fatalf("%s: Len = %d, want the 2 encodable records", ctx, pc.Len())
+		}
+		ns := pc.Namespace("n")
+		for i := range unencodable {
+			if _, _, ok := ns.Get(sqldb.Fingerprint{2, byte(i)}); ok {
+				t.Fatalf("%s: unencodable outcome %d served", ctx, i)
+			}
+		}
+		for _, fp := range []sqldb.Fingerprint{{1}, {3}} {
+			res, err, ok := ns.Get(fp)
+			if !ok || err != nil {
+				t.Fatalf("%s: record %v: ok=%v err=%v", ctx, fp[0], ok, err)
+			}
+			resultsEqual(t, ctx, res, sampleResult())
+		}
+	}
+	check("same handle", pc)
+	if err := pc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	pc2 := openCache(t, path)
+	defer pc2.Close()
+	check("reopened", pc2)
+}
+
+// TestProbeCacheOversizedCountTruncated: a CRC-valid record whose
+// counts claim more than its bytes hold is truncated as torn on open
+// instead of sizing an allocation from the garbage.
+func TestProbeCacheOversizedCountTruncated(t *testing.T) {
+	resultHeader := func(ncols uint16) []byte {
+		b := append(make([]byte, sha256.Size), errKindNone, 0, 0, 0, 0, 1, 0)
+		return binary.LittleEndian.AppendUint16(b, ncols)
+	}
+	corrupt := map[string][]byte{
+		"row count":    binary.LittleEndian.AppendUint32(resultHeader(0), math.MaxUint32),
+		"column count": resultHeader(math.MaxUint16),
+		"row width": binary.LittleEndian.AppendUint16(
+			binary.LittleEndian.AppendUint32(resultHeader(0), 1), math.MaxUint16),
+	}
+	for name, payload := range corrupt {
+		t.Run(name, func(t *testing.T) {
+			path := cachePath(t)
+			pc := openCache(t, path)
+			pc.Namespace("n").Put(sqldb.Fingerprint{1}, sampleResult(), nil)
+			pc.Close()
+			intact, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := writeFrame(f, payload); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+
+			pc2 := openCache(t, path)
+			defer pc2.Close()
+			if pc2.Len() != 1 {
+				t.Fatalf("Len = %d, want only the intact record", pc2.Len())
+			}
+			after, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if after.Size() != intact.Size() {
+				t.Fatalf("corrupt record not truncated: %d bytes, want %d", after.Size(), intact.Size())
+			}
+		})
+	}
+}
+
+// TestProbeCacheConcurrentPutGet: workers Put and Get overlapping
+// fingerprints in two namespaces, each putting its own variant of
+// every outcome. Every Get of a key returns the outcome of the key's
+// first Put, the same one a reopen serves, and mutating a returned
+// result leaves the next Get unchanged.
+func TestProbeCacheConcurrentPutGet(t *testing.T) {
+	const workers, keys = 8, 24
+	path := cachePath(t)
+	pc := openCache(t, path)
+	namespaces := []string{"app/a#seed=1", "app/b#seed=1"}
+	// variant is writer w's outcome for key k: the writer is in the row.
+	variant := func(w, k int) *sqldb.Result {
+		return sqldb.RestoreResult([]string{"w", "k"},
+			[]sqldb.Row{{sqldb.NewInt(int64(w)), sqldb.NewInt(int64(k))}, {sqldb.NewText("x"), sqldb.NewNull(sqldb.TInt)}}, false)
+	}
+	// served[ns][k] is the digest the first Get of a key observed.
+	var mu sync.Mutex
+	served := make([]map[int]sqldb.ResultDigest, len(namespaces))
+	for i := range served {
+		served[i] = map[int]sqldb.ResultDigest{}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for _, k := range rng.Perm(keys) {
+				ni := rng.Intn(len(namespaces))
+				ns := pc.Namespace(namespaces[ni])
+				fp := sqldb.Fingerprint{byte(k)}
+				ns.Put(fp, variant(w, k), nil)
+				res, err, ok := ns.Get(fp)
+				if !ok || err != nil || len(res.Rows) != 2 || res.Rows[0][1] != sqldb.NewInt(int64(k)) {
+					t.Errorf("worker %d key %d: ok=%v err=%v res=%v", w, k, ok, err, res)
+					return
+				}
+				d := res.Digest()
+				res.Rows[0][0] = sqldb.NewInt(-1)
+				again, _, _ := ns.Get(fp)
+				if again.Digest() != d {
+					t.Errorf("worker %d key %d: mutating a returned result changed the cache", w, k)
+				}
+				mu.Lock()
+				if first, seen := served[ni][k]; !seen {
+					served[ni][k] = d
+				} else if first != d {
+					t.Errorf("worker %d key %d: Get served a later Put's outcome", w, k)
+				}
+				mu.Unlock()
+			}
+		}(w)
+	}
+	wg.Wait()
+	if err := pc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	pc2 := openCache(t, path)
+	defer pc2.Close()
+	total := 0
+	for ni, name := range namespaces {
+		for k, d := range served[ni] {
+			res, _, ok := pc2.Namespace(name).Get(sqldb.Fingerprint{byte(k)})
+			if !ok || res.Digest() != d {
+				t.Fatalf("%s key %d: reopened cache serves another outcome (ok=%v)", name, k, ok)
+			}
+			total++
+		}
+	}
+	if pc2.Len() != total {
+		t.Fatalf("reopened Len = %d, want %d", pc2.Len(), total)
 	}
 }
 
