@@ -268,10 +268,14 @@ type Stats struct {
 	// vectorized scan.
 	IndexBuilds      int64
 	IndexHits        int64
-	RangeBuilds      int64
-	RangeHits        int64
 	JoinBuildsReused int64
 	VectorBatches    int64
+
+	// RangeBuilds and RangeHits are always zero: the engine has no
+	// range index. They stay because the benchmark harness and job
+	// records written by earlier daemons still name them.
+	RangeBuilds int64
+	RangeHits   int64
 }
 
 // CacheHitRate is the fraction of cache-eligible probes served from
@@ -314,9 +318,8 @@ func (s *Stats) String() string {
 			line += fmt.Sprintf(" disk=%d", s.DiskCacheHits)
 		}
 	}
-	line += fmt.Sprintf(" engine (index builds=%d hits=%d range builds=%d hits=%d join-reuse=%d batches=%d)",
-		s.IndexBuilds, s.IndexHits, s.RangeBuilds, s.RangeHits,
-		s.JoinBuildsReused, s.VectorBatches)
+	line += fmt.Sprintf(" engine (index builds=%d hits=%d join-reuse=%d batches=%d)",
+		s.IndexBuilds, s.IndexHits, s.JoinBuildsReused, s.VectorBatches)
 	return line
 }
 

@@ -27,16 +27,8 @@ func (s *Session) extractFilters() error {
 		}
 		cols = append(cols, col)
 	}
-	// Every probe clones D_1 and re-executes E against it; declaring
-	// the candidate columns up front lets each clone inherit pre-built
-	// indexes on them instead of rebuilding per probe.
-	release, err := s.adviseProbeColumns(cols)
-	if err != nil {
-		return err
-	}
-	defer release()
 	found := make([]*FilterPredicate, len(cols))
-	err = s.parallelFor(len(cols), func(pc *probeCtx, i int) error {
+	err := s.parallelFor(len(cols), func(pc *probeCtx, i int) error {
 		f, err := s.extractColumnFilter(pc, cols[i])
 		if err != nil {
 			return fmt.Errorf("column %s: %w", cols[i], err)

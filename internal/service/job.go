@@ -106,8 +106,6 @@ type Result struct {
 	// extraction): index, join-reuse and batch counters.
 	IndexBuilds      int64 `json:"index_builds,omitempty"`
 	IndexHits        int64 `json:"index_hits,omitempty"`
-	RangeBuilds      int64 `json:"range_builds,omitempty"`
-	RangeHits        int64 `json:"range_hits,omitempty"`
 	JoinBuildsReused int64 `json:"join_builds_reused,omitempty"`
 	VectorBatches    int64 `json:"vector_batches,omitempty"`
 }
@@ -145,8 +143,6 @@ func (j *Job) result() Result {
 
 		IndexBuilds:      j.stats.IndexBuilds,
 		IndexHits:        j.stats.IndexHits,
-		RangeBuilds:      j.stats.RangeBuilds,
-		RangeHits:        j.stats.RangeHits,
 		JoinBuildsReused: j.stats.JoinBuildsReused,
 		VectorBatches:    j.stats.VectorBatches,
 	}

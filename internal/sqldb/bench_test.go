@@ -156,11 +156,11 @@ func BenchmarkDigest(b *testing.B) {
 // vector engine on the query shapes predicate minimization hammers
 // on: point lookups (20k rows), Q1-style grouped aggregation (30k
 // rows), ORDER BY + LIMIT over heavily tied keys (30k rows), and
-// advised BETWEEN probes behind a non-indexable leading predicate
-// (20k rows, executed on a clone made after AdviseIndexes, so the
-// vector engine answers from the clone's shared range index). Each
-// shape first checks that both engines render identical results for
-// every statement it cycles through.
+// BETWEEN probes behind a non-indexable leading predicate (20k rows,
+// executed on a clone, as the filter module's probes are; no index
+// answers them, so both engines scan). Each shape first checks that
+// both engines render identical results for every statement it
+// cycles through.
 //
 //	go test -run '^$' -bench BenchmarkOracleVsVector ./internal/sqldb
 func BenchmarkOracleVsVector(b *testing.B) {
@@ -294,10 +294,9 @@ func orderLimitShape(b *testing.B) (*sqldb.Database, []*sqldb.SelectStmt) {
 		"select grp, w, id from tk order by grp desc, w limit 10")}
 }
 
-// betweenProbeShape: 64 BETWEEN probes on a column that only index
-// advice makes eligible (the leading w <> 3 is total but not
-// indexable). The returned database is a clone of the advised parent,
-// mirroring the minimizer's advise-then-clone discipline.
+// betweenProbeShape: 64 BETWEEN probes behind a leading w <> 3, which
+// no index answers. The returned database is a clone of the loaded
+// one, mirroring the filter module's clone-per-probe discipline.
 func betweenProbeShape(b *testing.B) (*sqldb.Database, []*sqldb.SelectStmt) {
 	const rows = 20000
 	db := sqldb.NewDatabase()
@@ -320,9 +319,6 @@ func betweenProbeShape(b *testing.B) (*sqldb.Database, []*sqldb.SelectStmt) {
 			sqldb.NewText(fmt.Sprintf("r-%06d", i))); err != nil {
 			b.Fatal(err)
 		}
-	}
-	if err := db.AdviseIndexes(sqldb.IndexHint{Table: "rp", Column: "v"}); err != nil {
-		b.Fatal(err)
 	}
 	stmts := make([]*sqldb.SelectStmt, 64)
 	for k := range stmts {

@@ -23,13 +23,6 @@ type Database struct {
 	order  []string // creation order, for deterministic iteration
 
 	estats *EngineStats // engine counters, shared with every clone
-
-	// advice maps table name -> local column indexes the caller has
-	// declared it is about to probe repeatedly (AdviseIndexes). The
-	// vector engine prefers advised columns when choosing an index,
-	// and clones inherit both the advice and the already-built index
-	// payloads for advised columns.
-	advice map[string][]int
 }
 
 // NewDatabase creates an empty database.
@@ -37,84 +30,11 @@ func NewDatabase() *Database {
 	return &Database{tables: map[string]*Table{}, estats: &EngineStats{}}
 }
 
-// newLike creates an empty database inheriting db's index advice and
-// (shared) engine counters — the base of every clone flavour.
+// newLike creates an empty database sharing db's engine counters —
+// the base of every clone flavour. Clones never inherit index or
+// build-side state: each table starts with empty caches.
 func (db *Database) newLike() *Database {
-	out := &Database{tables: map[string]*Table{}, estats: db.estats}
-	if len(db.advice) > 0 {
-		out.advice = make(map[string][]int, len(db.advice))
-		for t, cols := range db.advice {
-			out.advice[t] = append([]int(nil), cols...)
-		}
-	}
-	return out
-}
-
-// IndexHint names one column an extraction phase is about to probe
-// repeatedly. Advice replaces the engine's first-predicate heuristic:
-// the planner may answer any eligible pushdown predicate on an
-// advised column from an index, and clone operations pre-install the
-// (shared, immutable) index payloads so the build cost is paid once
-// across a whole probe fan-out.
-type IndexHint struct {
-	Table  string
-	Column string
-}
-
-// AdviseIndexes records index advice on this database. Hints
-// accumulate until ClearIndexAdvice; duplicates are ignored. Unknown
-// tables or columns are an error so extraction phases cannot silently
-// advise a column that does not exist.
-func (db *Database) AdviseIndexes(hints ...IndexHint) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	for _, h := range hints {
-		name := strings.ToLower(h.Table)
-		t, ok := db.tables[name]
-		if !ok {
-			return fmt.Errorf("%w: %s", ErrNoSuchTable, name)
-		}
-		ci := t.Schema.ColumnIndex(strings.ToLower(h.Column))
-		if ci < 0 {
-			return fmt.Errorf("table %s has no column %s", name, h.Column)
-		}
-		cur := db.advice[name]
-		dup := false
-		for _, c := range cur {
-			if c == ci {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		if db.advice == nil {
-			db.advice = map[string][]int{}
-		}
-		db.advice[name] = append(cur, ci)
-	}
-	return nil
-}
-
-// ClearIndexAdvice drops all recorded index advice. Already-built
-// indexes stay cached (they invalidate through the normal mutation
-// hooks); only the planner preference and clone pre-installation
-// stop.
-func (db *Database) ClearIndexAdvice() {
-	db.mu.Lock()
-	db.advice = nil
-	db.mu.Unlock()
-}
-
-// shareAdvisedLocked pre-installs index payloads for advised columns
-// on a freshly cloned table, so a probe fan-out over many clones pays
-// each advised index build once. Callers hold db.mu (read) and src
-// belongs to db.
-func (db *Database) shareAdvisedLocked(name string, src, dst *Table) {
-	if cols := db.advice[name]; len(cols) > 0 {
-		src.shareIndexes(dst, cols, db.estats)
-	}
+	return &Database{tables: map[string]*Table{}, estats: db.estats}
 }
 
 // CreateTable adds a new empty table.
@@ -246,7 +166,6 @@ func (db *Database) Clone() *Database {
 	out := db.newLike()
 	for _, n := range db.order {
 		out.tables[n] = db.tables[n].Clone()
-		db.shareAdvisedLocked(n, db.tables[n], out.tables[n])
 		out.order = append(out.order, n)
 	}
 	return out
@@ -274,7 +193,6 @@ func (db *Database) CloneTables(withRows map[string]bool) *Database {
 	for _, n := range db.order {
 		if withRows[n] {
 			out.tables[n] = db.tables[n].Clone()
-			db.shareAdvisedLocked(n, db.tables[n], out.tables[n])
 		} else {
 			out.tables[n] = NewTable(db.tables[n].Schema)
 		}

@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -188,6 +189,78 @@ func TestCloneIndexIsolation(t *testing.T) {
 	st.SetRows(append([]Row{}, orig.Rows[:8]...))
 	checkAllKeys(t, st, shared.estats, "shared clone after SetRows")
 	checkAllKeys(t, orig, db.estats, "shared original")
+}
+
+// TestIndexAnswersOnlyLeadingEquality pins the engine's one
+// access-path rule through its counters: the hash index answers the
+// leading pushdown predicate when it is an indexable equality on a
+// table of at least indexMinRows rows, and nothing else. Rows with
+// k = 0 make w / k raise, so an index that skipped a predicate ahead
+// of it would also skip the oracle's division-by-zero error.
+func TestIndexAnswersOnlyLeadingEquality(t *testing.T) {
+	ctx := context.Background()
+	newDB := func(t *testing.T, rows int) *Database {
+		t.Helper()
+		db := NewDatabase()
+		if err := db.CreateTable(TableSchema{Name: "p", Columns: []Column{
+			{Name: "k", Type: TInt}, {Name: "w", Type: TInt},
+		}}); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < rows; i++ {
+			if err := db.Insert("p", NewInt(int64(i%5)), NewInt(int64(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return db
+	}
+	kEq3 := Bin(OpEq, Col("p", "k"), Lit(NewInt(3)))
+	wDivK := Bin(OpGt, Bin(OpDiv, Col("p", "w"), Col("p", "k")), Lit(NewInt(0)))
+	// run executes the filter on both engines and returns the vector
+	// engine's index activity (builds plus hits) and its error.
+	run := func(t *testing.T, db *Database, where Expr) (int64, error) {
+		t.Helper()
+		stmt := &SelectStmt{Items: []SelectItem{{Expr: Col("p", "w")}}, From: []string{"p"}, Where: where}
+		want, errO := db.executeOracle(ctx, stmt)
+		before := db.EngineCounters()
+		got, errV := db.Execute(ctx, stmt)
+		after := db.EngineCounters()
+		if (errO != nil) != (errV != nil) {
+			t.Fatalf("error presence diverges: oracle=%v vector=%v", errO, errV)
+		}
+		if errV == nil && got.String() != want.String() {
+			t.Fatalf("engines diverge:\n%s\nvs\n%s", got, want)
+		}
+		return (after.IndexBuilds - before.IndexBuilds) + (after.IndexHits - before.IndexHits), errV
+	}
+
+	t.Run("leading-eq-indexed", func(t *testing.T) {
+		probes, err := run(t, newDB(t, 20), Bin(OpAnd, kEq3, wDivK))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if probes == 0 {
+			t.Error("leading k = 3 on a 20-row table was not answered by the index")
+		}
+	})
+	t.Run("non-leading-eq-scanned", func(t *testing.T) {
+		probes, err := run(t, newDB(t, 20), Bin(OpAnd, wDivK, kEq3))
+		if err == nil || !strings.Contains(err.Error(), "division by zero") {
+			t.Fatalf("err = %v, want division by zero", err)
+		}
+		if probes != 0 {
+			t.Errorf("index touched %d times for a non-leading equality", probes)
+		}
+	})
+	t.Run("below-min-rows-scanned", func(t *testing.T) {
+		probes, err := run(t, newDB(t, 15), kEq3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if probes != 0 {
+			t.Errorf("index touched %d times on a 15-row table", probes)
+		}
+	})
 }
 
 // TestConcurrentPointLookup hammers the lazy build path from many

@@ -26,11 +26,9 @@ type Table struct {
 	Schema TableSchema
 	Rows   []Row
 
-	idxMu    sync.Mutex
-	indexes  map[int]map[string][]int32 // column -> group key -> row ids
-	rindexes map[int]*rangeIndex        // column -> sorted range index
-	builds   []*joinBuild               // cached hash-join build sides
-	advBuilt map[int]bool               // advised columns built once; survives invalidation
+	idxMu   sync.Mutex
+	indexes map[int]map[string][]int32 // column -> group key -> row ids
+	builds  []*joinBuild               // cached hash-join build sides
 }
 
 // NewTable creates an empty table for the schema.
