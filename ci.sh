@@ -277,14 +277,16 @@ check_cover ./internal/storage 80.0
 # Per-file floor on the execution engine and the canonical encoder:
 # the differential harness must actually exercise the plan compiler and
 # evaluator (exec.go) and the batch/index/scan/join code, the
-# reference-encoder test the fingerprint and digest hashers, and the
-# engine's cache maintenance (the invalidation rules every mutator in
-# table.go calls, and the clone flavours in database.go) must stay
-# tested, not just keep the package average up.
-echo "== per-file coverage floor (execution engine, cache maintenance and hashers, 80%)"
+# reference-encoder test the fingerprint and digest hashers, the key
+# tests the hash-key encoder (value.go) and the checker's result
+# comparisons (result.go), and the engine's cache maintenance (the
+# invalidation rules every mutator in table.go calls, and the clone
+# flavours in database.go) must stay tested, not just keep the package
+# average up.
+echo "== per-file coverage floor (execution engine, cache maintenance, keys and hashers, 80%)"
 prof=$(mktemp /tmp/unmasque-cover.XXXXXX)
 go test -coverprofile="$prof" ./internal/sqldb >/dev/null
-for f in exec.go batch.go vector.go index.go exec_vector.go agg_vector.go sort_vector.go table.go database.go fingerprint.go digest.go; do
+for f in exec.go batch.go vector.go index.go exec_vector.go agg_vector.go sort_vector.go table.go database.go fingerprint.go digest.go result.go value.go; do
     pct=$(awk -v f="internal/sqldb/$f:" \
         'index($1, f) { total += $2; if ($3 > 0) covered += $2 }
          END { if (total == 0) print "0.0"; else printf "%.1f", 100 * covered / total }' "$prof")

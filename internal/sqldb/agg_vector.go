@@ -1,35 +1,34 @@
 package sqldb
 
-import (
-	"context"
-	"strings"
-)
+import "context"
 
 // agg_vector.go — vectorized hash aggregation.
 //
 // aggregateVector replaces the tree engine's row-at-a-time aggregate()
 // for the vector path: grouping keys and aggregate arguments are each
-// evaluated as one vector over the joined batch, then folded into the
+// evaluated as one vector over the join result, then folded into the
 // same aggAcc accumulators the tree engine uses, with typed fast
 // paths for the hot adds (COUNT/SUM over unboxed columns). Group key
-// strings, first-seen group order, accumulator semantics and the
-// empty-input corner are byte-identical to the tree engine — both
+// equality (appendKey), first-seen group order, accumulator semantics
+// and the empty-input corner are identical to the tree engine — both
 // paths then share finalizeGroups for HAVING and item evaluation, so
-// per-group semantics cannot drift.
+// per-group semantics cannot drift. A group keeps its first tuple as
+// its representative, materialized as a wide row only in
+// finalizeGroups.
 //
 // Error parity: the same (row, expression) pairs are evaluated as in
 // the tree engine, just operand-major instead of row-major — the
 // engines may surface a different error first, but whether an error
 // occurs is identical (the differential harness's contract).
 
-func (ex *execution) aggregateVector(ctx context.Context, rows []Row, types []Type, ticks *int) (*Result, error) {
-	if err := chargeTicks(ctx, ticks, len(rows)); err != nil {
+func (ex *execution) aggregateVector(ctx context.Context, tp *tuples, sel []int32, ticks *int) (*Result, error) {
+	if err := chargeTicks(ctx, ticks, len(sel)); err != nil {
 		return nil, err
 	}
-	groups := map[string]*group{}
-	var order []string
-	if len(rows) > 0 {
-		b := newWideBatch(rows, types, identitySel(len(rows)), ex.db.estats)
+	idx := map[string]int32{}
+	var groups []group
+	if len(sel) > 0 {
+		b := newTupleBatch(tp, sel, ex.db.estats)
 		keyVecs := make([]*vec, len(ex.stmt.GroupBy))
 		for i, g := range ex.stmt.GroupBy {
 			v, err := ex.evalVec(g, b)
@@ -49,20 +48,19 @@ func (ex *execution) aggregateVector(ctx context.Context, rows []Row, types []Ty
 			}
 			argVecs[i] = v
 		}
-		var kb strings.Builder
-		for k := range rows {
-			kb.Reset()
+		var key []byte
+		for k, ti := range sel {
+			key = key[:0]
 			for _, v := range keyVecs {
-				kb.WriteString(v.valueAt(k).GroupKey())
-				kb.WriteByte('|')
+				key = appendKey(key, v.valueAt(k))
 			}
-			key := kb.String()
-			grp, ok := groups[key]
+			gi, ok := idx[string(key)]
 			if !ok {
-				grp = &group{rep: rows[k], accs: make([]aggAcc, len(ex.aggs))}
-				groups[key] = grp
-				order = append(order, key)
+				gi = int32(len(groups))
+				idx[string(key)] = gi
+				groups = append(groups, group{tuple: ti, accs: make([]aggAcc, len(ex.aggs))})
 			}
+			grp := &groups[gi]
 			for i, ag := range ex.aggs {
 				if ag.Star {
 					grp.accs[i].count++
@@ -72,7 +70,7 @@ func (ex *execution) aggregateVector(ctx context.Context, rows []Row, types []Ty
 			}
 		}
 	}
-	return ex.finalizeGroups(groups, order, len(rows))
+	return ex.finalizeGroups(groups, len(sel), tp)
 }
 
 // addVec folds element k of v into the accumulator. Unboxed typed

@@ -2,18 +2,20 @@ package sqldb
 
 // batch.go — typed column batches for the vectorized engine.
 //
-// A batch exposes a row source, restricted to a selection of row ids,
-// as typed column vectors: per-column value slices plus a validity
-// (null) bitmap, gathered lazily on first reference. The vectorized
+// A batch exposes a row source, restricted to a selection, as typed
+// column vectors: per-column value slices plus a validity (null)
+// bitmap, gathered lazily on first reference. The vectorized
 // predicate evaluator (vector.go) computes over these instead of
 // per-row []Value wide rows, which removes the tree engine's dominant
 // allocation (one width-sized Row per scanned row).
 //
 // Two sources exist: a table (scan-side batches, addressing the
-// table's own columns) and a slice of joined wide rows (post-join
-// batches, addressing every wide-row slot). Both store values coerced
-// to their column's schema type, so the typed fast paths apply to
-// either.
+// table's own columns by row id) and the join result (post-join
+// batches, addressing every wide-row slot by tuple position). The
+// join result is kept as row ids (tuples), so a post-join column is
+// gathered straight from its base table; no stage materializes a wide
+// row per joined tuple. Both sources hold values coerced to their
+// column's schema type, so the typed fast paths apply to either.
 
 // vec is one column vector: len(sel) logical elements of a single
 // type. Storage is typed — ints carries TInt/TDate/TBool payloads,
@@ -111,17 +113,46 @@ func constVec(val Value, n int) *vec {
 	return &vec{typ: val.Typ, n: n, isConst: true, vals: []Value{val}}
 }
 
+// tuples is the join result kept columnar: ids[p] holds, for the
+// from-clause table at position p, the id of the row each tuple takes
+// from it. Only a group's representative is ever materialized as a
+// wide row (wideInto).
+type tuples struct {
+	n      int
+	ids    [][]int32   // from-clause position -> row id per tuple
+	tables []*Table    // from-clause position -> base table
+	slots  []tupleSlot // wide-row slot -> where its value lives
+}
+
+// tupleSlot locates one wide-row slot: the from-clause position of
+// its table and its column there.
+type tupleSlot struct{ pos, col int }
+
+// value returns wide-row slot s of tuple i.
+func (tp *tuples) value(i int32, s int) Value {
+	sl := tp.slots[s]
+	return tp.tables[sl.pos].Rows[tp.ids[sl.pos][i]][sl.col]
+}
+
+// wideInto appends tuple i to dst as a wide row: the from-clause
+// tables' rows side by side, in from-clause order.
+func (tp *tuples) wideInto(dst Row, i int32) Row {
+	for p, t := range tp.tables {
+		dst = append(dst, t.Rows[tp.ids[p][i]]...)
+	}
+	return dst
+}
+
 // batch is a row source restricted to a selection, with lazily
 // gathered column vectors aligned to that selection. Exactly one of
-// tbl/rows is set.
+// tbl/tup is set.
 type batch struct {
-	tbl   *Table // table source (scan-side batches)
-	rows  []Row  // wide-row source (post-join batches)
-	types []Type // wide-row source: schema type of every slot
-	name  string // source name for resolution error messages
+	tbl  *Table  // table source (scan-side batches)
+	tup  *tuples // join-result source (post-join batches)
+	name string  // source name for resolution error messages
 
 	off int     // first wide-row slot addressed by this batch
-	sel []int32 // selected row ids, ascending scan order
+	sel []int32 // selected row ids (table) or tuple positions (join result)
 	es  *EngineStats
 
 	cols map[int]*vec // local column index -> gathered vector
@@ -131,12 +162,11 @@ func newBatch(tbl *Table, off int, sel []int32, es *EngineStats) *batch {
 	return &batch{tbl: tbl, name: tbl.Schema.Name, off: off, sel: sel, es: es, cols: map[int]*vec{}}
 }
 
-// newWideBatch exposes joined wide rows as a batch: every slot is
-// addressable (off 0), typed by the owning column's schema type. The
-// post-join stages (residual, aggregation, projection, ordering)
-// evaluate over these.
-func newWideBatch(rows []Row, types []Type, sel []int32, es *EngineStats) *batch {
-	return &batch{rows: rows, types: types, name: "the join result", sel: sel, es: es, cols: map[int]*vec{}}
+// newTupleBatch exposes the join result as a batch: every wide-row
+// slot is addressable (off 0). The post-join stages (residual,
+// aggregation, projection, ordering) evaluate over these.
+func newTupleBatch(tp *tuples, sel []int32, es *EngineStats) *batch {
+	return &batch{tup: tp, name: "the join result", sel: sel, es: es, cols: map[int]*vec{}}
 }
 
 // ncol reports the number of addressable local columns.
@@ -144,7 +174,7 @@ func (b *batch) ncol() int {
 	if b.tbl != nil {
 		return len(b.tbl.Schema.Columns)
 	}
-	return len(b.types)
+	return len(b.tup.slots)
 }
 
 // sub derives a batch over the same source restricted to subSel.
@@ -160,15 +190,18 @@ func (b *batch) col(ci int) *vec {
 	if v, ok := b.cols[ci]; ok {
 		return v
 	}
-	n := len(b.sel)
-	src := b.rows
-	typ := TUnknown
-	if b.tbl != nil {
-		src = b.tbl.Rows
-		typ = b.tbl.Schema.Columns[ci].Type
-	} else {
-		typ = b.types[ci]
+	// Resolve the column to its base table: a selected position k
+	// reads row ids[sel[k]] (or sel[k] itself when ids is nil) of
+	// column lc.
+	tbl, lc := b.tbl, ci
+	var ids []int32
+	if b.tup != nil {
+		s := b.tup.slots[ci]
+		tbl, lc, ids = b.tup.tables[s.pos], s.col, b.tup.ids[s.pos]
 	}
+	src := tbl.Rows
+	typ := tbl.Schema.Columns[lc].Type
+	n := len(b.sel)
 	v := &vec{typ: typ, n: n}
 	switch typ {
 	case TFloat:
@@ -179,7 +212,10 @@ func (b *batch) col(ci int) *vec {
 		v.ints = make([]int64, n)
 	}
 	for k, ri := range b.sel {
-		val := src[ri][ci]
+		if ids != nil {
+			ri = ids[ri]
+		}
+		val := src[ri][lc]
 		if val.Null {
 			if v.null == nil {
 				v.null = make([]bool, n)

@@ -376,18 +376,6 @@ func chargeTicks(ctx context.Context, ticks *int, n int) error {
 	return nil
 }
 
-func joinKeyLocal(r Row, idx []int) (string, bool) {
-	var b strings.Builder
-	for _, i := range idx {
-		if r[i].Null {
-			return "", false
-		}
-		b.WriteString(r[i].GroupKey())
-		b.WriteByte('|')
-	}
-	return b.String(), true
-}
-
 func (ex *execution) outputColumns() []string {
 	cols := make([]string, len(ex.stmt.Items))
 	for i, it := range ex.stmt.Items {
@@ -396,23 +384,13 @@ func (ex *execution) outputColumns() []string {
 	return cols
 }
 
-// wideTypes returns the schema type of every wide-row slot; the
-// vector engine's post-join batches type their columns from it.
-func (ex *execution) wideTypes() []Type {
-	types := make([]Type, ex.width)
-	for _, t := range ex.tables {
-		off := ex.offsets[t]
-		for i, c := range ex.schemas[t].Columns {
-			types[off+i] = c.Type
-		}
-	}
-	return types
-}
-
-// group accumulates one hash-aggregation bucket.
+// group accumulates one hash-aggregation bucket. Its representative
+// input row is rep (the oracle's wide row) or, when rep is nil, the
+// join result's tuple number tuple (the vector engine's).
 type group struct {
-	rep  Row // representative input row
-	accs []aggAcc
+	rep   Row
+	tuple int32
+	accs  []aggAcc
 }
 
 type aggAcc struct {
@@ -492,30 +470,37 @@ func (a *aggAcc) final(fn AggFn) Value {
 	}
 }
 
-// finalizeGroups evaluates HAVING and the select list per group and
-// assembles the result. The vector engine and the oracle
-// (oracle_test.go) share it verbatim, so the per-group semantics (the empty-input null-result corner, HAVING
-// filtering, item evaluation against the representative row) cannot
-// drift between them.
-func (ex *execution) finalizeGroups(groups map[string]*group, order []string, inputRows int) (*Result, error) {
+// finalizeGroups evaluates HAVING and the select list per group, in
+// first-seen order, and assembles the result. The vector engine and
+// the oracle (oracle_test.go) share it verbatim, so the per-group
+// semantics (the empty-input null-result corner, HAVING filtering,
+// item evaluation against the representative row) cannot drift
+// between them. tp is the join result a group's representative tuple
+// indexes (nil for the oracle); each such tuple is materialized as a
+// wide row only while its group is evaluated, into one reused row.
+func (ex *execution) finalizeGroups(groups []group, inputRows int, tp *tuples) (*Result, error) {
 	res := &Result{Columns: ex.outputColumns()}
 	// SQL corner case: ungrouped aggregation over empty input yields
 	// one row; the paper's pipeline treats it as a null result.
 	if len(ex.stmt.GroupBy) == 0 && inputRows == 0 {
-		grp := &group{rep: make(Row, ex.width), accs: make([]aggAcc, len(ex.aggs))}
-		groups[""] = grp
-		order = append(order, "")
+		groups = append(groups, group{rep: make(Row, ex.width), accs: make([]aggAcc, len(ex.aggs))})
 		res.aggEmptyInput = true
 	}
 
 	aggVals := make([]Value, len(ex.aggs))
-	for _, key := range order {
-		grp := groups[key]
+	var wide Row
+	for gi := range groups {
+		grp := &groups[gi]
+		rep := grp.rep
+		if rep == nil {
+			wide = tp.wideInto(wide[:0], grp.tuple)
+			rep = wide
+		}
 		for i, ag := range ex.aggs {
 			aggVals[i] = grp.accs[i].final(ag.Fn)
 		}
 		if ex.stmt.Having != nil {
-			ok, err := ex.evalBool(ex.stmt.Having, grp.rep, aggVals)
+			ok, err := ex.evalBool(ex.stmt.Having, rep, aggVals)
 			if err != nil {
 				return nil, err
 			}
@@ -525,7 +510,7 @@ func (ex *execution) finalizeGroups(groups map[string]*group, order []string, in
 		}
 		out := make(Row, len(ex.stmt.Items))
 		for i, it := range ex.stmt.Items {
-			v, err := ex.eval(it.Expr, grp.rep, aggVals)
+			v, err := ex.eval(it.Expr, rep, aggVals)
 			if err != nil {
 				return nil, err
 			}

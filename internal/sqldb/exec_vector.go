@@ -1,9 +1,6 @@
 package sqldb
 
-import (
-	"context"
-	"strings"
-)
+import "context"
 
 // exec_vector.go — the vectorized, index-assisted execution engine.
 //
@@ -15,12 +12,12 @@ import (
 //     secondary hash index serving a leading `col = literal`
 //     predicate;
 //   - the greedy hash join runs over row-id tuple columns and reuses
-//     cached build sides, materializing wide rows only for tuples
-//     that survive every join;
+//     cached build sides; its result stays as those columns (tuples);
 //   - the post-join tail (residual predicates, aggregation,
 //     projection, ORDER BY, LIMIT) evaluates batch-at-a-time in
-//     finishVector, with a top-K heap short-circuiting ordered
-//     limited queries.
+//     finishVector over batches that gather straight from the base
+//     tables, with a top-K heap short-circuiting ordered limited
+//     queries.
 //
 // The tree engine, a per-row walker kept in oracle_test.go, is the
 // differential oracle: every stage here must match it on digests,
@@ -42,19 +39,19 @@ import (
 const indexMinRows = 16
 
 func (ex *execution) runVector(ctx context.Context, ticks *int) (*Result, error) {
-	sels := map[string][]int32{}
-	for _, t := range ex.tables {
+	sels := make([][]int32, len(ex.tables))
+	for p, t := range ex.tables {
 		sel, err := ex.scanVector(ctx, t, ticks)
 		if err != nil {
 			return nil, err
 		}
-		sels[t] = sel
+		sels[p] = sel
 	}
-	current, err := ex.joinVector(ctx, sels, ticks)
+	tp, err := ex.joinVector(ctx, sels, ticks)
 	if err != nil {
 		return nil, err
 	}
-	return ex.finishVector(ctx, current, ticks)
+	return ex.finishVector(ctx, tp, ticks)
 }
 
 // identitySel returns the selection covering rows [0, n).
@@ -159,214 +156,221 @@ func (ex *execution) indexableEq(t string, p Expr) (ci int, key string, ok bool)
 
 // joinVector replicates the tree engine's greedy hash join over
 // columnar tuples: one []int32 of row ids per joined table, aligned
-// by tuple position. Build sides come from the per-table cache, so a
+// by tuple position, with sels holding each table's scan selection in
+// from-clause order. Build sides come from the per-table cache, so a
 // probe re-executed on an unchanged (or non-key-mutated) clone
-// rebuilds nothing. Wide rows materialize only after every join and
-// cycle edge has been applied. Ticks are charged per logical row
-// exactly as the tree engine's per-row checkCtx calls do: build side
-// size per hash join, probe-tuple count per probe pass, pair count
-// per cross product — independent of build-cache hits.
-func (ex *execution) joinVector(ctx context.Context, sels map[string][]int32, ticks *int) ([]Row, error) {
-	// Reverse slot mapping for probe-side key construction.
-	slotTab := make([]string, ex.width)
-	for _, t := range ex.tables {
+// rebuilds nothing. The result stays columnar; post-join stages
+// gather from the base tables through it. Ticks are charged per
+// logical row exactly as the tree engine's per-row checkCtx calls do:
+// build side size per hash join, probe-tuple count per probe pass,
+// pair count per cross product — independent of build-cache hits.
+func (ex *execution) joinVector(ctx context.Context, sels [][]int32, ticks *int) (*tuples, error) {
+	nt := len(ex.tables)
+	tp := &tuples{ids: make([][]int32, nt), tables: make([]*Table, nt), slots: make([]tupleSlot, ex.width)}
+	for p, t := range ex.tables {
+		tp.tables[p] = ex.db.tables[t]
 		off := ex.offsets[t]
-		for i := range ex.schemas[t].Columns {
-			slotTab[off+i] = t
+		for c := range ex.schemas[t].Columns {
+			tp.slots[off+c] = tupleSlot{pos: p, col: c}
 		}
 	}
 
-	remaining := map[string]bool{}
-	for _, t := range ex.tables {
-		remaining[t] = true
-	}
-	start := ex.tables[0]
-	for _, t := range ex.tables[1:] {
-		if len(sels[t]) < len(sels[start]) {
-			start = t
+	start := 0
+	for p := 1; p < nt; p++ {
+		if len(sels[p]) < len(sels[start]) {
+			start = p
 		}
 	}
-	delete(remaining, start)
-	joined := map[string]bool{start: true}
-	cols := map[string][]int32{start: sels[start]}
-	tupLen := len(sels[start])
+	joined := make([]bool, nt)
+	joined[start] = true
+	tp.ids[start] = sels[start]
+	tp.n = len(sels[start])
 
-	for len(remaining) > 0 {
-		next := ""
-		for _, t := range ex.tables {
-			if !remaining[t] {
+	for range nt - 1 {
+		// The smallest table connected to the joined set by an edge,
+		// else (a cross product) the smallest table left; ties go to
+		// the earlier table in the from clause.
+		next := -1
+		for p := range nt {
+			if joined[p] {
 				continue
 			}
 			connected := false
 			for _, e := range ex.joins {
-				if (joined[e.lt] && e.rt == t) || (joined[e.rt] && e.lt == t) {
+				lp, rp := tp.slots[e.li].pos, tp.slots[e.ri].pos
+				if (joined[lp] && rp == p) || (joined[rp] && lp == p) {
 					connected = true
 					break
 				}
 			}
-			if connected && (next == "" || len(sels[t]) < len(sels[next])) {
-				next = t
+			if connected && (next < 0 || len(sels[p]) < len(sels[next])) {
+				next = p
 			}
 		}
-		cross := false
-		if next == "" {
-			cross = true
-			for _, t := range ex.tables {
-				if !remaining[t] {
-					continue
-				}
-				if next == "" || len(sels[t]) < len(sels[next]) {
-					next = t
+		cross := next < 0
+		if cross {
+			for p := range nt {
+				if !joined[p] && (next < 0 || len(sels[p]) < len(sels[next])) {
+					next = p
 				}
 			}
 		}
-		delete(remaining, next)
-		nOff := ex.offsets[next]
-		nTbl := ex.db.tables[next]
+		nsel := sels[next]
 
 		if cross {
-			if err := chargeTicks(ctx, ticks, tupLen*len(sels[next])); err != nil {
+			if err := chargeTicks(ctx, ticks, tp.n*len(nsel)); err != nil {
 				return nil, err
 			}
-			out := map[string][]int32{}
-			for t := range joined {
-				out[t] = nil
-			}
-			out[next] = nil
-			newLen := 0
-			for i := 0; i < tupLen; i++ {
-				for _, rid := range sels[next] {
-					for t := range joined {
-						out[t] = append(out[t], cols[t][i])
-					}
-					out[next] = append(out[next], rid)
-					newLen++
+			total := tp.n * len(nsel)
+			for p := range nt {
+				if !joined[p] {
+					continue
 				}
+				col := make([]int32, 0, total)
+				for _, id := range tp.ids[p] {
+					for range nsel {
+						col = append(col, id)
+					}
+				}
+				tp.ids[p] = col
 			}
-			cols = out
-			tupLen = newLen
+			col := make([]int32, 0, total)
+			for range tp.n {
+				col = append(col, nsel...)
+			}
+			tp.ids[next] = col
+			tp.n = total
 			joined[next] = true
 			continue
 		}
 
-		var probeIdx, buildLocal []int
+		nOff := ex.offsets[ex.tables[next]]
+		var probe []int // wide-row slots of the probe key, joined side
+		var buildLocal []int
 		for i := range ex.joins {
 			e := &ex.joins[i]
+			lp, rp := tp.slots[e.li].pos, tp.slots[e.ri].pos
 			switch {
-			case joined[e.lt] && e.rt == next:
-				probeIdx = append(probeIdx, e.li)
+			case joined[lp] && rp == next:
+				probe = append(probe, e.li)
 				buildLocal = append(buildLocal, e.ri-nOff)
 				e.used = true
-			case joined[e.rt] && e.lt == next:
-				probeIdx = append(probeIdx, e.ri)
+			case joined[rp] && lp == next:
+				probe = append(probe, e.ri)
 				buildLocal = append(buildLocal, e.li-nOff)
 				e.used = true
 			}
 		}
-		if err := chargeTicks(ctx, ticks, len(sels[next])); err != nil {
+		if err := chargeTicks(ctx, ticks, len(nsel)); err != nil {
 			return nil, err
 		}
-		build := nTbl.joinBuildFor(buildLocal, sels[next], ex.db.estats)
-		if err := chargeTicks(ctx, ticks, tupLen); err != nil {
+		build := tp.tables[next].joinBuildFor(buildLocal, nsel, ex.db.estats)
+		if err := chargeTicks(ctx, ticks, tp.n); err != nil {
 			return nil, err
 		}
-		out := map[string][]int32{}
-		for t := range joined {
-			out[t] = nil
-		}
-		out[next] = nil
-		newLen := 0
-		var kb strings.Builder
-		for i := 0; i < tupLen; i++ {
-			kb.Reset()
-			nullKey := false
-			for _, p := range probeIdx {
-				pt := slotTab[p]
-				v := ex.db.tables[pt].Rows[cols[pt][i]][p-ex.offsets[pt]]
+		// Match every tuple to its build bucket, then emit the pairs
+		// column by column in probe order x bucket order.
+		match := make([]int32, tp.n)
+		total := 0
+		var key []byte
+		for i := range tp.n {
+			key = key[:0]
+			null := false
+			for _, s := range probe {
+				v := tp.value(int32(i), s)
 				if v.Null {
-					nullKey = true
+					null = true // a NULL join key matches nothing
 					break
 				}
-				kb.WriteString(v.GroupKey())
-				kb.WriteByte('|')
+				key = appendKey(key, v)
 			}
-			if nullKey {
+			bk := int32(-1)
+			if !null {
+				bk = build.bucket(key)
+			}
+			if bk >= 0 {
+				total += len(build.buckets[bk])
+			}
+			match[i] = bk
+		}
+		for p := range nt {
+			if !joined[p] {
 				continue
 			}
-			for _, rid := range build[kb.String()] {
-				for t := range joined {
-					out[t] = append(out[t], cols[t][i])
+			col := make([]int32, 0, total)
+			for i, bk := range match {
+				if bk < 0 {
+					continue
 				}
-				out[next] = append(out[next], rid)
-				newLen++
+				for range build.buckets[bk] {
+					col = append(col, tp.ids[p][i])
+				}
+			}
+			tp.ids[p] = col
+		}
+		col := make([]int32, 0, total)
+		for _, bk := range match {
+			if bk >= 0 {
+				col = append(col, build.buckets[bk]...)
 			}
 		}
-		cols = out
-		tupLen = newLen
+		tp.ids[next] = col
+		tp.n = total
 		joined[next] = true
 	}
 
-	// Enforce cycle edges not consumed as hash keys.
-	valAt := func(i, slot int) Value {
-		t := slotTab[slot]
-		return ex.db.tables[t].Rows[cols[t][i]][slot-ex.offsets[t]]
-	}
+	// Enforce cycle edges not consumed as hash keys. No ticks: the
+	// tree engine charges nothing for this stage either.
 	var unused []joinEdge
 	for _, e := range ex.joins {
 		if !e.used {
 			unused = append(unused, e)
 		}
 	}
-	keepTuple := make([]bool, tupLen)
-	kept := 0
-	for i := 0; i < tupLen; i++ {
+	if len(unused) == 0 {
+		return tp, nil
+	}
+	kept := make([]int32, 0, tp.n)
+	for i := range int32(tp.n) {
 		ok := true
 		for _, e := range unused {
-			if !Equal(valAt(i, e.li), valAt(i, e.ri)) {
+			if !Equal(tp.value(i, e.li), tp.value(i, e.ri)) {
 				ok = false
 				break
 			}
 		}
-		keepTuple[i] = ok
 		if ok {
-			kept++
+			kept = append(kept, i)
 		}
 	}
-
-	// Materialize wide rows for surviving tuples only. No ticks: the
-	// tree engine charges nothing for this stage either.
-	current := make([]Row, 0, kept)
-	for i := 0; i < tupLen; i++ {
-		if !keepTuple[i] {
-			continue
+	for p, ids := range tp.ids {
+		col := make([]int32, len(kept))
+		for k, i := range kept {
+			col[k] = ids[i]
 		}
-		wide := make(Row, ex.width)
-		for _, t := range ex.tables {
-			copy(wide[ex.offsets[t]:], ex.db.tables[t].Rows[cols[t][i]])
-		}
-		current = append(current, wide)
+		tp.ids[p] = col
 	}
-	return current, nil
+	tp.n = len(kept)
+	return tp, nil
 }
 
 // finishVector is the vector engine's post-join tail: the same
 // residual → aggregate/project → order → limit pipeline as finish(),
-// evaluated batch-at-a-time over the joined wide rows. Stage
-// semantics — which (row, expression) pairs get evaluated, grouping
-// key equality and first-seen order, ordering ties, the empty-input
-// aggregation corner — replicate the tree engine exactly.
-func (ex *execution) finishVector(ctx context.Context, current []Row, ticks *int) (*Result, error) {
-	types := ex.wideTypes()
-
-	// 3. Residual predicates, vectorized over a narrowing selection.
+// evaluated batch-at-a-time over the join result. Stage semantics —
+// which (row, expression) pairs get evaluated, grouping key equality
+// and first-seen order, ordering ties, the empty-input aggregation
+// corner — replicate the tree engine exactly.
+func (ex *execution) finishVector(ctx context.Context, tp *tuples, ticks *int) (*Result, error) {
+	// 3. Residual predicates, vectorized over a narrowing selection
+	// of tuple positions.
+	sel := identitySel(tp.n)
 	if len(ex.residual) > 0 {
 		// One tick per joined row, like finish(): the charge does not
 		// depend on the predicate count in either engine.
-		if err := chargeTicks(ctx, ticks, len(current)); err != nil {
+		if err := chargeTicks(ctx, ticks, tp.n); err != nil {
 			return nil, err
 		}
-		sel := identitySel(len(current))
-		b := newWideBatch(current, types, sel, ex.db.estats)
+		b := newTupleBatch(tp, sel, ex.db.estats)
 		for _, p := range ex.residual {
 			if len(sel) == 0 {
 				break
@@ -384,20 +388,15 @@ func (ex *execution) finishVector(ctx context.Context, current []Row, ticks *int
 			sel = kept
 			b = b.sub(sel)
 		}
-		next := make([]Row, len(sel))
-		for i, ri := range sel {
-			next[i] = current[ri]
-		}
-		current = next
 	}
 
 	// 4. Grouping / aggregation, or plain projection.
 	var out *Result
 	var err error
 	if len(ex.stmt.GroupBy) > 0 || len(ex.aggs) > 0 {
-		out, err = ex.aggregateVector(ctx, current, types, ticks)
+		out, err = ex.aggregateVector(ctx, tp, sel, ticks)
 	} else {
-		out, err = ex.projectVector(ctx, current, types, ticks)
+		out, err = ex.projectVector(ctx, tp, sel, ticks)
 	}
 	if err != nil {
 		return nil, err
@@ -405,7 +404,7 @@ func (ex *execution) finishVector(ctx context.Context, current []Row, ticks *int
 
 	// 5. Order by (with top-K short-circuit under LIMIT).
 	if len(ex.stmt.OrderBy) > 0 {
-		if err := ex.orderVector(out, current, types); err != nil {
+		if err := ex.orderVector(out, tp, sel); err != nil {
 			return nil, err
 		}
 	}
@@ -418,17 +417,18 @@ func (ex *execution) finishVector(ctx context.Context, current []Row, ticks *int
 	return out, nil
 }
 
-// projectVector emits one output row per input row (no aggregation),
-// evaluating each select item as one vector over the batch.
-func (ex *execution) projectVector(ctx context.Context, rows []Row, types []Type, ticks *int) (*Result, error) {
-	if err := chargeTicks(ctx, ticks, len(rows)); err != nil {
+// projectVector emits one output row per selected tuple (no
+// aggregation), evaluating each select item as one vector over the
+// batch.
+func (ex *execution) projectVector(ctx context.Context, tp *tuples, sel []int32, ticks *int) (*Result, error) {
+	if err := chargeTicks(ctx, ticks, len(sel)); err != nil {
 		return nil, err
 	}
 	res := &Result{Columns: ex.outputColumns()}
-	if len(rows) == 0 {
+	if len(sel) == 0 {
 		return res, nil
 	}
-	b := newWideBatch(rows, types, identitySel(len(rows)), ex.db.estats)
+	b := newTupleBatch(tp, sel, ex.db.estats)
 	vecs := make([]*vec, len(ex.stmt.Items))
 	for i, it := range ex.stmt.Items {
 		v, err := ex.evalVec(it.Expr, b)
@@ -437,9 +437,13 @@ func (ex *execution) projectVector(ctx context.Context, rows []Row, types []Type
 		}
 		vecs[i] = v
 	}
-	res.Rows = make([]Row, len(rows))
-	for k := range rows {
-		out := make(Row, len(vecs))
+	// One slab backs every output row; each row's capacity is capped
+	// so an append to one can never overwrite the next.
+	w := len(vecs)
+	slab := make([]Value, len(sel)*w)
+	res.Rows = make([]Row, len(sel))
+	for k := range sel {
+		out := slab[k*w : (k+1)*w : (k+1)*w]
 		for i, v := range vecs {
 			out[i] = v.valueAt(k)
 		}

@@ -44,14 +44,25 @@ func (db *Database) EngineCounters() EngineCounters {
 }
 
 // joinBuild is one cached hash-join build side: the map from join key
-// to row ids, valid for exactly the (columns, selected row ids) pair
-// it was built from. Row ids (not rows) are stored, so value
-// mutations of non-key columns never stale an entry; row-set
-// mutations invalidate everything via the table's mutation hooks.
+// (appendJoinKey) to the bucket of row ids holding it, valid for
+// exactly the (columns, selected row ids) pair it was built from. Row
+// ids (not rows) are stored, so value mutations of non-key columns
+// never stale an entry; row-set mutations invalidate everything via
+// the table's mutation hooks.
 type joinBuild struct {
-	cols []int   // local column indexes forming the key
-	sel  []int32 // the filtered row ids the map covers
-	m    map[string][]int32
+	cols    []int   // local column indexes forming the key
+	sel     []int32 // the filtered row ids the map covers
+	keys    map[string]int32
+	buckets [][]int32 // row ids per key, in selection order
+}
+
+// bucket returns the index of key's bucket, or -1 when no selected row
+// holds key. It does not allocate.
+func (b *joinBuild) bucket(key []byte) int32 {
+	if i, ok := b.keys[string(key)]; ok {
+		return i
+	}
+	return -1
 }
 
 // maxJoinBuilds caps the per-table build cache (FIFO eviction). Probe
@@ -128,36 +139,62 @@ func (t *Table) pointLookup(ci int, key string, es *EngineStats) []int32 {
 	return idx[key]
 }
 
-// joinBuildFor returns the hash-join build map for (cols, sel),
+// joinBuildFor returns the hash-join build side for (cols, sel),
 // reusing a cached build when an identical one exists. A hit requires
 // the same key columns and the exact same selected row ids — compared
 // elementwise, never by hash, so a stale or colliding entry can never
 // be returned. sel must be immutable after the call (the vector
 // engine builds a fresh selection per execution and never mutates it).
-func (t *Table) joinBuildFor(cols []int, sel []int32, es *EngineStats) map[string][]int32 {
+func (t *Table) joinBuildFor(cols []int, sel []int32, es *EngineStats) *joinBuild {
 	t.idxMu.Lock()
 	defer t.idxMu.Unlock()
 	for _, b := range t.builds {
 		if intsEqual(b.cols, cols) && idsEqual(b.sel, sel) {
 			es.JoinReuses.Add(1)
-			return b.m
+			return b
 		}
 	}
-	m := make(map[string][]int32, len(sel))
-	for _, ri := range sel {
-		key, ok := joinKeyLocal(t.Rows[ri], cols)
+	// Two passes: number the distinct keys and count their rows, then
+	// lay every bucket out in one slab.
+	keys := make(map[string]int32, len(sel))
+	bucketOf := make([]int32, len(sel))
+	var counts []int32
+	var key []byte
+	for k, ri := range sel {
+		var ok bool
+		key, ok = appendJoinKey(key[:0], t.Rows[ri], cols)
 		if !ok {
-			continue // NULL join key never matches
+			bucketOf[k] = -1 // NULL join key never matches
+			continue
 		}
-		m[key] = append(m[key], ri)
+		bk, seen := keys[string(key)]
+		if !seen {
+			bk = int32(len(counts))
+			keys[string(key)] = bk
+			counts = append(counts, 0)
+		}
+		counts[bk]++
+		bucketOf[k] = bk
 	}
-	b := &joinBuild{cols: append([]int(nil), cols...), sel: sel, m: m}
+	slab := make([]int32, len(sel))
+	buckets := make([][]int32, len(counts))
+	off := int32(0)
+	for bk, n := range counts {
+		buckets[bk] = slab[off : off : off+n]
+		off += n
+	}
+	for k, ri := range sel {
+		if bk := bucketOf[k]; bk >= 0 {
+			buckets[bk] = append(buckets[bk], ri)
+		}
+	}
+	b := &joinBuild{cols: append([]int(nil), cols...), sel: sel, keys: keys, buckets: buckets}
 	if len(t.builds) >= maxJoinBuilds {
 		t.builds = append(t.builds[:0], t.builds[1:]...)
 	}
 	t.builds = append(t.builds, b)
 	es.JoinBuilds.Add(1)
-	return m
+	return b
 }
 
 func intsEqual(a, b []int) bool {

@@ -350,18 +350,21 @@ func TestJoinBuildCache(t *testing.T) {
 	if got := es.JoinReuses.Load(); got != 1 {
 		t.Fatalf("reuses=%d, want 1", got)
 	}
-	if len(b1) != len(b2) {
-		t.Fatalf("cached build differs: %d vs %d buckets", len(b1), len(b2))
+	if b1 != b2 {
+		t.Fatalf("cached build differs: %d vs %d buckets", len(b1.buckets), len(b2.buckets))
 	}
 	// A different selection must not hit the cache.
 	tbl.joinBuildFor([]int{0}, sel[:10], es)
 	if got := es.JoinReuses.Load(); got != 1 {
 		t.Fatalf("reuses=%d after different sel, want 1", got)
 	}
-	// Build map contents agree with a scan.
+	// Build bucket contents agree with a scan.
 	for k := int64(0); k < 10; k++ {
-		key := NewInt(k).GroupKey() + "|"
-		if !idsMatch(b1[key], scanLookup(tbl, 0, NewInt(k).GroupKey())) {
+		var ids []int32
+		if bk := b1.bucket(appendKey(nil, NewInt(k))); bk >= 0 {
+			ids = b1.buckets[bk]
+		}
+		if !idsMatch(ids, scanLookup(tbl, 0, NewInt(k).GroupKey())) {
 			t.Fatalf("build bucket for key %d disagrees with scan", k)
 		}
 	}

@@ -13,7 +13,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strings"
 )
 
 // executeOracle runs stmt on the tree-walking oracle under the same
@@ -248,22 +247,22 @@ func (ex *execution) join(ctx context.Context, filtered map[string][]Row, ticks 
 			if err := checkCtx(ctx, ticks); err != nil {
 				return nil, err
 			}
-			key, ok := joinKeyLocal(r, buildLocal)
+			key, ok := appendJoinKey(nil, r, buildLocal)
 			if !ok {
 				continue // NULL join key never matches
 			}
-			build[key] = append(build[key], r)
+			build[string(key)] = append(build[string(key)], r)
 		}
 		var out []Row
 		for _, w := range current {
 			if err := checkCtx(ctx, ticks); err != nil {
 				return nil, err
 			}
-			key, ok := joinKeyWide(w, probeIdx)
+			key, ok := appendJoinKey(nil, w, probeIdx)
 			if !ok {
 				continue
 			}
-			for _, r := range build[key] {
+			for _, r := range build[string(key)] {
 				nw := w.Clone()
 				copy(nw[nOff:], r)
 				out = append(out, nw)
@@ -299,18 +298,6 @@ func (ex *execution) join(ctx context.Context, filtered map[string][]Row, ticks 
 	return current, nil
 }
 
-func joinKeyWide(w Row, idx []int) (string, bool) {
-	var b strings.Builder
-	for _, i := range idx {
-		if w[i].Null {
-			return "", false
-		}
-		b.WriteString(w[i].GroupKey())
-		b.WriteByte('|')
-	}
-	return b.String(), true
-}
-
 // project emits one output row per input row (no aggregation).
 func (ex *execution) project(ctx context.Context, rows []Row, ticks *int) (*Result, error) {
 	res := &Result{Columns: ex.outputColumns()}
@@ -335,28 +322,27 @@ func (ex *execution) project(ctx context.Context, rows []Row, ticks *int) (*Resu
 // group. Per-group aggregate results live in a positional slice
 // aligned with ex.aggs — never in a per-group map (GL008).
 func (ex *execution) aggregate(ctx context.Context, rows []Row, ticks *int) (*Result, error) {
-	groups := map[string]*group{}
-	var order []string
+	idx := map[string]int{}
+	var groups []group
 	for _, w := range rows {
 		if err := checkCtx(ctx, ticks); err != nil {
 			return nil, err
 		}
-		var kb strings.Builder
+		var key []byte
 		for _, g := range ex.stmt.GroupBy {
 			v, err := ex.eval(g, w, nil)
 			if err != nil {
 				return nil, err
 			}
-			kb.WriteString(v.GroupKey())
-			kb.WriteByte('|')
+			key = appendKey(key, v)
 		}
-		key := kb.String()
-		grp, ok := groups[key]
+		gi, ok := idx[string(key)]
 		if !ok {
-			grp = &group{rep: w, accs: make([]aggAcc, len(ex.aggs))}
-			groups[key] = grp
-			order = append(order, key)
+			gi = len(groups)
+			idx[string(key)] = gi
+			groups = append(groups, group{rep: w, accs: make([]aggAcc, len(ex.aggs))})
 		}
+		grp := &groups[gi]
 		for i, ag := range ex.aggs {
 			if ag.Star {
 				grp.accs[i].count++
@@ -370,7 +356,7 @@ func (ex *execution) aggregate(ctx context.Context, rows []Row, ticks *int) (*Re
 		}
 	}
 
-	return ex.finalizeGroups(groups, order, len(rows))
+	return ex.finalizeGroups(groups, len(rows), nil)
 }
 
 // orderResult sorts the output rows. Order keys that match an output

@@ -1,9 +1,11 @@
 package sqldb
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -91,13 +93,14 @@ func (r *Result) Column(i int) []Value {
 	return out
 }
 
-// rowKey renders a row for hashing/multiset comparison.
-func rowKey(row Row) string {
-	parts := make([]string, len(row))
-	for i, v := range row {
-		parts[i] = v.GroupKey()
+// appendRowKey appends the self-delimiting key (appendKey) of every
+// value of row to b, so two rows share a key only when they are equal
+// value by value under GroupKey equality.
+func appendRowKey(b []byte, row Row) []byte {
+	for _, v := range row {
+		b = appendKey(b, v)
 	}
-	return strings.Join(parts, "|")
+	return b
 }
 
 // Checksum computes a position-dependent checksum over the result, so
@@ -105,8 +108,11 @@ func rowKey(row Row) string {
 // extraction checker uses this to verify physical ordering.
 func (r *Result) Checksum() uint64 {
 	h := fnv.New64a()
+	var b []byte
 	for i, row := range r.Rows {
-		fmt.Fprintf(h, "#%d:%s;", i, rowKey(row))
+		b = strconv.AppendInt(append(b[:0], '#'), int64(i), 10)
+		b = append(appendRowKey(append(b, ':'), row), ';')
+		h.Write(b)
 	}
 	return h.Sum64()
 }
@@ -142,25 +148,31 @@ func (r *Result) EqualUnordered(o *Result) bool {
 
 func sortedKeys(r *Result) []string {
 	keys := make([]string, len(r.Rows))
+	var b []byte
 	for i, row := range r.Rows {
-		keys[i] = approxRowKey(row)
+		b = appendApproxRowKey(b[:0], row)
+		keys[i] = string(b)
 	}
 	sort.Strings(keys)
 	return keys
 }
 
-// approxRowKey formats floats at 6 decimal digits so results that are
-// equal up to float noise compare equal.
-func approxRowKey(row Row) string {
-	parts := make([]string, len(row))
-	for i, v := range row {
-		if !v.Null && v.Typ == TFloat {
-			parts[i] = fmt.Sprintf("f%.6f", v.F)
-		} else {
-			parts[i] = v.GroupKey()
+// appendApproxRowKey appends row's key with every float formatted at
+// 6 decimal digits, so results that are equal up to float noise
+// compare equal. Like appendRowKey it is self-delimiting: a formatted
+// float is length-prefixed, every other value encoded by appendKey.
+func appendApproxRowKey(b []byte, row Row) []byte {
+	for _, v := range row {
+		if v.Null || v.Typ != TFloat {
+			b = appendKey(b, v)
+			continue
 		}
+		var num [32]byte
+		f := strconv.AppendFloat(num[:0], v.F, 'f', 6, 64)
+		b = binary.AppendUvarint(append(b, 'f'), uint64(len(f)))
+		b = append(b, f...)
 	}
-	return strings.Join(parts, "|")
+	return b
 }
 
 func rowsApproxEqual(a, b Row) bool {

@@ -101,10 +101,10 @@ func (v *vec) cmpElems(a, b int) int {
 	return c
 }
 
-// orderVector sorts res.Rows in place. input is the joined wide-row
-// set aligned 1:1 with res.Rows in the non-aggregated case (the only
-// case where input-expression keys are legal).
-func (ex *execution) orderVector(res *Result, input []Row, types []Type) error {
+// orderVector sorts res.Rows in place. In the non-aggregated case
+// (the only case where input-expression keys are legal) res.Rows is
+// aligned 1:1 with the tuples of tp that sel selects.
+func (ex *execution) orderVector(res *Result, tp *tuples, sel []int32) error {
 	keys := make([]*sortKey, len(ex.stmt.OrderBy))
 	var inBatch *batch
 	for ki, k := range ex.stmt.OrderBy {
@@ -122,7 +122,7 @@ func (ex *execution) orderVector(res *Result, input []Row, types []Type) error {
 			return fmt.Errorf("order by expression %s does not appear in the select list", k.Expr)
 		}
 		if inBatch == nil {
-			inBatch = newWideBatch(input, types, identitySel(len(input)), ex.db.estats)
+			inBatch = newTupleBatch(tp, sel, ex.db.estats)
 		}
 		v, err := ex.evalVec(k.Expr, inBatch)
 		if err != nil {

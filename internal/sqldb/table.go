@@ -88,7 +88,7 @@ func (t *Table) InsertRows(rows []Row) error {
 			return fmt.Errorf("table %s: insert arity %d, want %d", t.Schema.Name, len(row), len(cols))
 		}
 		for i, v := range row {
-			cv, err := coerce(v, cols[i])
+			cv, err := coerce(v, &cols[i])
 			if err != nil {
 				return fmt.Errorf("table %s column %s: %w", t.Schema.Name, cols[i].Name, err)
 			}
@@ -109,7 +109,7 @@ func (t *Table) MustInsert(vals ...Value) {
 	}
 }
 
-func coerce(v Value, c Column) (Value, error) {
+func coerce(v Value, c *Column) (Value, error) {
 	if v.Null {
 		return NewNull(c.Type), nil
 	}
@@ -171,7 +171,7 @@ func (t *Table) Set(row int, col string, v Value) error {
 	if row < 0 || row >= len(t.Rows) {
 		return fmt.Errorf("table %s has no row %d", t.Schema.Name, row)
 	}
-	cv, err := coerce(v, t.Schema.Columns[ci])
+	cv, err := coerce(v, &t.Schema.Columns[ci])
 	if err != nil {
 		return err
 	}
@@ -186,7 +186,7 @@ func (t *Table) SetAll(col string, v Value) error {
 	if ci < 0 {
 		return fmt.Errorf("table %s has no column %s", t.Schema.Name, col)
 	}
-	cv, err := coerce(v, t.Schema.Columns[ci])
+	cv, err := coerce(v, &t.Schema.Columns[ci])
 	if err != nil {
 		return err
 	}

@@ -13,6 +13,7 @@
 package sqldb
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"strconv"
@@ -231,6 +232,51 @@ func (v Value) GroupKey() string {
 	default:
 		return "i" + strconv.FormatInt(v.I, 10)
 	}
+}
+
+// canonicalNaN is the one bit pattern appendKey writes for every NaN,
+// as GroupKey renders every NaN as "NaN".
+var canonicalNaN = math.Float64bits(math.NaN())
+
+// appendKey appends the hash-key encoding of v to b: a type tag, then
+// a length-prefixed string or 8 payload bytes. Two values encode
+// equally exactly when their GroupKeys are equal (NULLs of any type
+// alike, ints, dates and bools by payload, -0 apart from 0, every NaN
+// alike), and every encoding is self-delimiting, so equal
+// concatenations mean equal values position by position: the texts
+// ('x|sy','z') and ('x','y|sz') never share a key. Join build and
+// probe keys and GROUP BY keys are built with it into a reused
+// buffer and looked up with m[string(buf)], which does not allocate.
+func appendKey(b []byte, v Value) []byte {
+	if v.Null {
+		return append(b, 'N')
+	}
+	switch v.Typ {
+	case TText:
+		b = binary.AppendUvarint(append(b, 's'), uint64(len(v.S)))
+		return append(b, v.S...)
+	case TFloat:
+		bits := math.Float64bits(v.F)
+		if v.F != v.F {
+			bits = canonicalNaN
+		}
+		return binary.LittleEndian.AppendUint64(append(b, 'f'), bits)
+	default: // TInt, TDate, TBool
+		return binary.LittleEndian.AppendUint64(append(b, 'i'), uint64(v.I))
+	}
+}
+
+// appendJoinKey appends the key of row's columns idx to b. It reports
+// false, with b's contents unspecified, when one of them is NULL: a
+// NULL join key matches nothing.
+func appendJoinKey(b []byte, row Row, idx []int) ([]byte, bool) {
+	for _, i := range idx {
+		if row[i].Null {
+			return b, false
+		}
+		b = appendKey(b, row[i])
+	}
+	return b, true
 }
 
 // String renders the value for display (not as a SQL literal).

@@ -71,6 +71,51 @@ func TestGroupKeyNullsGroupTogether(t *testing.T) {
 	}
 }
 
+// TestAppendKeyMatchesGroupKey pins appendKey's equality to
+// GroupKey's on values chosen to straddle every class boundary, and
+// checks that two-value keys are self-delimiting: a concatenation
+// matches exactly when both positions do.
+func TestAppendKeyMatchesGroupKey(t *testing.T) {
+	otherNaN := math.Float64frombits(math.Float64bits(math.NaN()) ^ 1)
+	vals := []Value{
+		NewNull(TInt), NewNull(TText), NewNull(TUnknown),
+		NewInt(0), NewInt(5), NewDate(5), NewBool(true), NewInt(1), NewInt(-1),
+		NewFloat(0), NewFloat(math.Copysign(0, -1)), NewFloat(5), NewFloat(1.5),
+		NewFloat(math.NaN()), NewFloat(otherNaN), NewFloat(math.Inf(1)), NewFloat(math.Inf(-1)),
+		NewText(""), NewText("5"), NewText("x"), NewText("x|sy"), NewText("y|sz"), NewText("z"),
+		NewText("\x00N"), NewText("i5"), NewText("N"),
+	}
+	key := func(vs ...Value) string {
+		var b []byte
+		for _, v := range vs {
+			b = appendKey(b, v)
+		}
+		return string(b)
+	}
+	for _, a := range vals {
+		for _, b := range vals {
+			if got, want := key(a) == key(b), a.GroupKey() == b.GroupKey(); got != want {
+				t.Errorf("appendKey equality %v, GroupKey equality %v: %#v vs %#v", got, want, a, b)
+			}
+			for _, c := range vals {
+				for _, d := range vals {
+					got := key(a, b) == key(c, d)
+					want := a.GroupKey() == c.GroupKey() && b.GroupKey() == d.GroupKey()
+					if got != want {
+						t.Fatalf("pair keys equal=%v, want %v: (%#v, %#v) vs (%#v, %#v)", got, want, a, b, c, d)
+					}
+				}
+			}
+		}
+	}
+	if _, ok := appendJoinKey(nil, Row{NewInt(1), NewNull(TInt)}, []int{0, 1}); ok {
+		t.Error("a NULL join key must not match")
+	}
+	if k, ok := appendJoinKey(nil, Row{NewText("a"), NewInt(1)}, []int{1, 0}); !ok || string(k) != key(NewInt(1), NewText("a")) {
+		t.Error("join key must encode the indexed columns in index order")
+	}
+}
+
 func TestArithmetic(t *testing.T) {
 	cases := []struct {
 		name string

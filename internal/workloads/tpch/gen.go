@@ -68,6 +68,12 @@ var (
 // deterministic in seed. Witnesses for the hidden-query suites are
 // NOT planted here; use PlantWitnesses with the query set a run will
 // exercise.
+//
+// Each table's rows are generated into one slab and loaded with a
+// single InsertRows. Values are drawn from the random source in a
+// fixed order, table by table and row by row, so a seed always yields
+// the same instance; the registry's fingerprint golden test pins
+// every instance.
 func NewDatabase(scale Scale, seed int64) *sqldb.Database {
 	db := sqldb.NewDatabase()
 	for _, s := range Schemas() {
@@ -78,70 +84,87 @@ func NewDatabase(scale Scale, seed int64) *sqldb.Database {
 	rows := scale.Rows()
 	rng := rand.New(rand.NewSource(seed))
 	i, f, s := sqldb.NewInt, sqldb.NewFloat, sqldb.NewText
-	date := func(y0 int, spreadDays int) sqldb.Value {
-		base := days(fmt.Sprintf("%d-01-01", y0))
+	base := days("1992-01-01")
+	date := func(spreadDays int) sqldb.Value {
 		return sqldb.NewDate(base + int64(rng.Intn(spreadDays)))
 	}
+	var words []byte
 	comment := func(n int) sqldb.Value {
-		out := ""
+		words = words[:0]
 		for k := 0; k < n; k++ {
 			if k > 0 {
-				out += " "
+				words = append(words, ' ')
 			}
-			out += commentWords[rng.Intn(len(commentWords))]
+			words = append(words, commentWords[rng.Intn(len(commentWords))]...)
 		}
-		return s(out)
+		return s(string(words))
 	}
 
+	region := newSlab(db, "region", rows["region"])
 	for r := 0; r < rows["region"]; r++ {
-		mustInsert(db, "region", i(int64(r+1)), s(regionNames[r%len(regionNames)]), comment(3))
+		region.add(i(int64(r+1)), s(regionNames[r%len(regionNames)]), comment(3))
 	}
+	region.load()
+	nation := newSlab(db, "nation", rows["nation"])
 	for n := 0; n < rows["nation"]; n++ {
-		mustInsert(db, "nation", i(int64(n+1)), s(nationNames[n%len(nationNames)]),
+		nation.add(i(int64(n+1)), s(nationNames[n%len(nationNames)]),
 			i(int64(1+n%rows["region"])), comment(3))
 	}
+	nation.load()
+	supplier := newSlab(db, "supplier", rows["supplier"])
 	for sp := 1; sp <= rows["supplier"]; sp++ {
-		mustInsert(db, "supplier",
+		supplier.add(
 			i(int64(sp)), s(fmt.Sprintf("Supplier#%09d", sp)), s(fmt.Sprintf("addr sup %d", sp)),
 			i(int64(1+rng.Intn(rows["nation"]))), s(fmt.Sprintf("%02d-%07d", 10+rng.Intn(25), rng.Intn(9999999))),
 			f(float64(rng.Intn(1100000))/100-1000), comment(5))
 	}
+	supplier.load()
+	part := newSlab(db, "part", rows["part"])
 	for p := 1; p <= rows["part"]; p++ {
-		mustInsert(db, "part",
+		part.add(
 			i(int64(p)), s(fmt.Sprintf("part %s %s %d", commentWords[rng.Intn(6)], commentWords[rng.Intn(6)], p)),
 			s(fmt.Sprintf("Manufacturer#%d", 1+rng.Intn(5))), s(fmt.Sprintf("Brand#%d%d", 1+rng.Intn(5), 1+rng.Intn(5))),
 			s(typePrefixes[rng.Intn(len(typePrefixes))]+" "+typeSuffixes[rng.Intn(len(typeSuffixes))]),
 			i(int64(1+rng.Intn(50))), s(containers[rng.Intn(len(containers))]),
 			f(800+float64(rng.Intn(130000))/100), comment(2))
 	}
+	part.load()
+	perPart := rows["partsupp"] / rows["part"]
+	partsupp := newSlab(db, "partsupp", rows["part"]*perPart)
 	for p := 1; p <= rows["part"]; p++ {
-		for k := 0; k < rows["partsupp"]/rows["part"]; k++ {
-			mustInsert(db, "partsupp",
+		for k := 0; k < perPart; k++ {
+			partsupp.add(
 				i(int64(p)), i(int64(1+(p*7+k*13)%rows["supplier"])),
 				i(int64(1+rng.Intn(9999))), f(1+float64(rng.Intn(99900))/100), comment(6))
 		}
 	}
+	partsupp.load()
+	customer := newSlab(db, "customer", rows["customer"])
 	for c := 1; c <= rows["customer"]; c++ {
-		mustInsert(db, "customer",
+		customer.add(
 			i(int64(c)), s(fmt.Sprintf("Customer#%09d", c)), s(fmt.Sprintf("addr cust %d", c)),
 			i(int64(1+rng.Intn(rows["nation"]))), s(fmt.Sprintf("%02d-%07d", 10+rng.Intn(25), rng.Intn(9999999))),
 			f(float64(rng.Intn(1100000))/100-1000), s(segments[rng.Intn(len(segments))]), comment(4))
 	}
+	customer.load()
 	statuses := []string{"F", "O", "P"}
+	orders := newSlab(db, "orders", rows["orders"])
 	for o := 1; o <= rows["orders"]; o++ {
-		mustInsert(db, "orders",
+		orders.add(
 			i(int64(o)), i(int64(1+rng.Intn(rows["customer"]))),
 			s(statuses[rng.Intn(len(statuses))]), f(800+float64(rng.Intn(55000000))/100),
-			date(1992, 2400), s(priorities[rng.Intn(len(priorities))]),
+			date(2400), s(priorities[rng.Intn(len(priorities))]),
 			s(fmt.Sprintf("Clerk#%09d", rng.Intn(1000))), i(int64(rng.Intn(2))), comment(4))
 	}
+	orders.load()
 	flags := []string{"R", "A", "N"}
 	lineStatus := []string{"O", "F"}
+	lineitem := newSlab(db, "lineitem", rows["lineitem"])
 	for l := 1; l <= rows["lineitem"]; l++ {
-		ship := date(1992, 2400)
+		ship := date(2400)
 		commit := sqldb.NewDate(ship.I + int64(rng.Intn(60)) - 30)
 		receipt := sqldb.NewDate(ship.I + 1 + int64(rng.Intn(30)))
-		mustInsert(db, "lineitem",
+		lineitem.add(
 			i(int64(1+rng.Intn(rows["orders"]))), i(int64(1+rng.Intn(rows["part"]))),
 			i(int64(1+rng.Intn(rows["supplier"]))), i(int64(1+l%7)),
 			f(1+float64(rng.Intn(4900))/100), f(800+float64(rng.Intn(10420000))/100),
@@ -150,11 +173,37 @@ func NewDatabase(scale Scale, seed int64) *sqldb.Database {
 			ship, commit, receipt,
 			s(shipInstruct[rng.Intn(len(shipInstruct))]), s(shipModes[rng.Intn(len(shipModes))]), comment(3))
 	}
+	lineitem.load()
 	return db
 }
 
-func mustInsert(db *sqldb.Database, table string, vals ...sqldb.Value) {
-	if err := db.Insert(table, vals...); err != nil {
+// slab collects one table's generated rows in a single backing array.
+type slab struct {
+	tbl  *sqldb.Table
+	vals []sqldb.Value
+	rows []sqldb.Row
+}
+
+func newSlab(db *sqldb.Database, table string, n int) *slab {
+	tbl, err := db.Table(table)
+	if err != nil {
+		panic(err) // created by NewDatabase; cannot fail
+	}
+	width := len(tbl.Schema.Columns)
+	return &slab{tbl: tbl, vals: make([]sqldb.Value, 0, n*width), rows: make([]sqldb.Row, 0, n)}
+}
+
+// add appends one row. Each row's capacity is capped, so an append to
+// a row copies it instead of overwriting its neighbour.
+func (s *slab) add(vals ...sqldb.Value) {
+	start := len(s.vals)
+	s.vals = append(s.vals, vals...)
+	s.rows = append(s.rows, s.vals[start:len(s.vals):len(s.vals)])
+}
+
+// load inserts the collected rows into the table in one call.
+func (s *slab) load() {
+	if err := s.tbl.InsertRows(s.rows); err != nil {
 		panic(fmt.Sprintf("tpch generator: %v", err))
 	}
 }
