@@ -429,11 +429,11 @@ func (e *enumerator) chooseMultiset(t int, allowed []int, s, startPos int, pkSee
 		idx := allowed[pos]
 		var pkKey string
 		if len(te.pk) > 0 {
-			parts := make([]string, len(te.pk))
+			pk := make(sqldb.Row, len(te.pk))
 			for i, ci := range te.pk {
-				parts[i] = te.templates[idx][ci].GroupKey()
+				pk[i] = te.templates[idx][ci]
 			}
-			pkKey = strings.Join(parts, "|")
+			pkKey = sqldb.RowKey(pk)
 			dup := false
 			for _, k := range pkSeen {
 				if k == pkKey {

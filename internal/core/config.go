@@ -263,17 +263,17 @@ type Stats struct {
 	// Engine counters for this extraction (deltas of the silo's shared
 	// sqldb.EngineStats between start and end — the provided database
 	// may be reused across extractions, so absolutes would conflate
-	// runs): secondary-index builds and lookup hits, hash-join build
-	// sides reused from cache, and column batches gathered by the
-	// vectorized scan.
-	IndexBuilds      int64
-	IndexHits        int64
+	// runs): hash-join build sides reused from cache, and column
+	// batches gathered by the vectorized engine.
 	JoinBuildsReused int64
 	VectorBatches    int64
 
-	// RangeBuilds and RangeHits are always zero: the engine has no
-	// range index. They stay because the benchmark harness and job
-	// records written by earlier daemons still name them.
+	// IndexBuilds, IndexHits, RangeBuilds and RangeHits are always
+	// zero: the engine has no hash or range index. They stay because
+	// the benchmark harness and job records written by earlier daemons
+	// still name them.
+	IndexBuilds int64
+	IndexHits   int64
 	RangeBuilds int64
 	RangeHits   int64
 }
@@ -318,8 +318,8 @@ func (s *Stats) String() string {
 			line += fmt.Sprintf(" disk=%d", s.DiskCacheHits)
 		}
 	}
-	line += fmt.Sprintf(" engine (index builds=%d hits=%d join-reuse=%d batches=%d)",
-		s.IndexBuilds, s.IndexHits, s.JoinBuildsReused, s.VectorBatches)
+	line += fmt.Sprintf(" engine (join-reuse=%d batches=%d)",
+		s.JoinBuildsReused, s.VectorBatches)
 	return line
 }
 

@@ -251,8 +251,8 @@ func TestPhaseHistogramsAndEngineBridge(t *testing.T) {
 		}
 	}
 	m := cfg.Metrics
-	if got := m.Counter("engine_index_hits").Value(); got != ext.Stats.IndexHits {
-		t.Errorf("engine_index_hits metric %d, stats %d", got, ext.Stats.IndexHits)
+	if got := m.Counter("engine_join_builds_reused").Value(); got != ext.Stats.JoinBuildsReused {
+		t.Errorf("engine_join_builds_reused metric %d, stats %d", got, ext.Stats.JoinBuildsReused)
 	}
 	if got := m.Counter("engine_vector_batches").Value(); got != ext.Stats.VectorBatches {
 		t.Errorf("engine_vector_batches metric %d, stats %d", got, ext.Stats.VectorBatches)

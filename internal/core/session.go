@@ -274,14 +274,10 @@ func ExtractContext(ctx context.Context, exe app.Executable, di *sqldb.Database,
 	// Engine counters are deltas over this extraction: di (and its
 	// shared counters) may serve many sequential extractions.
 	engineEnd := di.EngineCounters()
-	s.stats.IndexBuilds = engineEnd.IndexBuilds - engineStart.IndexBuilds
-	s.stats.IndexHits = engineEnd.IndexHits - engineStart.IndexHits
 	s.stats.JoinBuildsReused = engineEnd.JoinReuses - engineStart.JoinReuses
 	s.stats.VectorBatches = engineEnd.VectorBatches - engineStart.VectorBatches
 	// Bridge the engine deltas into the metrics registry so a scrape of
 	// a long-lived process accumulates them across extractions.
-	s.metrics.Counter("engine_index_builds").Add(s.stats.IndexBuilds)
-	s.metrics.Counter("engine_index_hits").Add(s.stats.IndexHits)
 	s.metrics.Counter("engine_join_builds_reused").Add(s.stats.JoinBuildsReused)
 	s.metrics.Counter("engine_vector_batches").Add(s.stats.VectorBatches)
 	ext.Stats = s.stats

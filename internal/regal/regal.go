@@ -428,10 +428,22 @@ func (e *engine) matches(stmt *sqldb.SelectStmt) (bool, error) {
 func (e *engine) inferFilters(stmt *sqldb.SelectStmt) (*sqldb.SelectStmt, error) {
 	// Contributing rows per table: execute the SPJ core with the row
 	// projected, track per-column min/max of rows whose projection
-	// appears in the target.
+	// appears in the target. A probe row's visible part is the
+	// non-aggregate items, which is all a grouped target compares on;
+	// a candidate has one item per target column, in target order.
+	var visible []int
+	for oi, it := range stmt.Items {
+		if !sqldb.HasAggregate(it.Expr) {
+			visible = append(visible, oi)
+		}
+	}
 	targetKeys := map[string]bool{}
+	key := make(sqldb.Row, len(visible))
 	for _, row := range e.target.Rows {
-		targetKeys[approxKey(row)] = true
+		for i, oi := range visible {
+			key[i] = row[oi]
+		}
+		targetKeys[sqldb.RowKey(key)] = true
 	}
 	var filters []sqldb.Expr
 	// Projected dimensions: the target column's own value range bounds
@@ -515,7 +527,8 @@ func isProjected(stmt *sqldb.SelectStmt, table, column string) bool {
 
 // contributingRange runs the candidate extended with the probe
 // column, keeping the min/max of probe values on rows whose visible
-// part belongs to the target.
+// part is the visible part of a target row (targetKeys holds those
+// parts' sqldb.RowKey).
 func (e *engine) contributingRange(stmt *sqldb.SelectStmt, table, column string, targetKeys map[string]bool) (lo, hi sqldb.Value, any bool, err error) {
 	probe := *stmt
 	probe.GroupBy = nil // examine the SPJ core
@@ -546,7 +559,7 @@ func (e *engine) contributingRange(stmt *sqldb.SelectStmt, table, column string,
 		return lo, hi, false, errMemory
 	}
 	for _, row := range res.Rows {
-		if !containsVisible(targetKeys, row[:visible]) {
+		if !targetKeys[sqldb.RowKey(row[:visible])] {
 			continue
 		}
 		v := row[len(row)-1]
@@ -565,26 +578,6 @@ func (e *engine) contributingRange(stmt *sqldb.SelectStmt, table, column string,
 		}
 	}
 	return lo, hi, any, nil
-}
-
-// containsVisible matches the visible prefix of a probe row against
-// the target rows' prefixes (grouped targets compare on the grouped
-// columns only, which are exactly the non-aggregate items).
-func containsVisible(targetKeys map[string]bool, prefix sqldb.Row) bool {
-	for key := range targetKeys {
-		if strings.HasPrefix(key, approxKey(prefix)) {
-			return true
-		}
-	}
-	return false
-}
-
-func approxKey(row sqldb.Row) string {
-	parts := make([]string, len(row))
-	for i, v := range row {
-		parts[i] = v.GroupKey()
-	}
-	return strings.Join(parts, "|")
 }
 
 // resultColumnRange computes the min/max of one target column.

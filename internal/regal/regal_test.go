@@ -2,6 +2,7 @@ package regal
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -99,5 +100,66 @@ func TestReverseEngineerCountsCandidates(t *testing.T) {
 	}
 	if out.Elapsed <= 0 {
 		t.Error("elapsed time not recorded")
+	}
+}
+
+// TestContributingRowsMatchVisibleColumnsExactly: filter inference
+// counts a probe row as contributing only when its visible columns
+// equal a target row's exactly. Matching '|'-joined GroupKeys by
+// prefix let the probe value 1 match the target row (12, 5), and made
+// the text rows ('x|sy','z') and ('x','y|sz') one key; either way the
+// non-contributing row widened the inferred range until it excluded
+// nothing.
+func TestContributingRowsMatchVisibleColumnsExactly(t *testing.T) {
+	db := sqldb.NewDatabase()
+	for _, s := range []sqldb.TableSchema{
+		{Name: "t", Columns: []sqldb.Column{{Name: "a", Type: sqldb.TInt}, {Name: "x", Type: sqldb.TInt}}},
+		{Name: "u", Columns: []sqldb.Column{{Name: "s1", Type: sqldb.TText}, {Name: "s2", Type: sqldb.TText}, {Name: "y", Type: sqldb.TInt}}},
+	} {
+		if err := db.CreateTable(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, x := range []int64{10, 12, 14, 16, 20} {
+		if err := db.Insert("t", sqldb.NewInt(12), sqldb.NewInt(x)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, r := range [][2]int64{{1, 100}, {3, 50}} {
+		if err := db.Insert("t", sqldb.NewInt(r[0]), sqldb.NewInt(r[1])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, r := range []struct {
+		s1, s2 string
+		y      int64
+	}{{"x|sy", "z", 10}, {"x", "y|sz", 100}, {"q", "r", 50}} {
+		if err := db.Insert("u", sqldb.NewText(r.s1), sqldb.NewText(r.s2), sqldb.NewInt(r.y)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		name, target, candidate, filter string
+	}{
+		{"int-prefix", "select a, count(*) as cnt from t where a = 12 group by a",
+			"select t.a, count(*) as cnt from t group by t.a", "t.x between 10 and 20"},
+		{"text-separator", "select s1, s2 from u where y = 10",
+			"select u.s1, u.s2 from u", "u.y between 10 and 10"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			e := &engine{db: db, target: runQuery(t, db, c.target), cfg: DefaultConfig(),
+				deadline: time.Now().Add(time.Minute), out: &Output{}}
+			stmt, err := sqlparser.Parse(c.candidate)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := e.inferFilters(stmt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got == nil || !strings.Contains(got.Where.String(), c.filter) {
+				t.Fatalf("inferred %v, want a filter %s", got, c.filter)
+			}
+		})
 	}
 }

@@ -103,9 +103,7 @@ type Result struct {
 	Workers        int   `json:"workers,omitempty"`
 
 	// Execution-engine accounting (core.Stats deltas for this job's
-	// extraction): index, join-reuse and batch counters.
-	IndexBuilds      int64 `json:"index_builds,omitempty"`
-	IndexHits        int64 `json:"index_hits,omitempty"`
+	// extraction): join-reuse and batch counters.
 	JoinBuildsReused int64 `json:"join_builds_reused,omitempty"`
 	VectorBatches    int64 `json:"vector_batches,omitempty"`
 }
@@ -141,8 +139,6 @@ func (j *Job) result() Result {
 		LedgerEvents:   int64(j.ledger.Len()),
 		Workers:        j.stats.Workers,
 
-		IndexBuilds:      j.stats.IndexBuilds,
-		IndexHits:        j.stats.IndexHits,
 		JoinBuildsReused: j.stats.JoinBuildsReused,
 		VectorBatches:    j.stats.VectorBatches,
 	}

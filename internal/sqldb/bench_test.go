@@ -156,11 +156,11 @@ func BenchmarkDigest(b *testing.B) {
 // vector engine on the query shapes predicate minimization hammers
 // on: point lookups (20k rows), Q1-style grouped aggregation (30k
 // rows), ORDER BY + LIMIT over heavily tied keys (30k rows), and
-// BETWEEN probes behind a non-indexable leading predicate (20k rows,
-// executed on a clone, as the filter module's probes are; no index
-// answers them, so both engines scan). Each shape first checks that
-// both engines render identical results for every statement it
-// cycles through.
+// BETWEEN probes behind a leading w <> 3 (20k rows, executed on a
+// clone, as the filter module's probes are). The engine has no index,
+// so every shape times a scan on both engines. Each shape first
+// checks that both engines render identical results for every
+// statement it cycles through.
 //
 //	go test -run '^$' -bench BenchmarkOracleVsVector ./internal/sqldb
 func BenchmarkOracleVsVector(b *testing.B) {
@@ -203,8 +203,8 @@ func BenchmarkOracleVsVector(b *testing.B) {
 	}
 }
 
-// pointLookupShape: 64 point lookups on a primary key, each behind a
-// second (always true) predicate.
+// pointLookupShape: 64 point lookups on a primary key, each followed
+// by a second (always true) predicate; both engines scan for them.
 func pointLookupShape(b *testing.B) (*sqldb.Database, []*sqldb.SelectStmt) {
 	const rows = 20000
 	db := sqldb.NewDatabase()
@@ -294,9 +294,9 @@ func orderLimitShape(b *testing.B) (*sqldb.Database, []*sqldb.SelectStmt) {
 		"select grp, w, id from tk order by grp desc, w limit 10")}
 }
 
-// betweenProbeShape: 64 BETWEEN probes behind a leading w <> 3, which
-// no index answers. The returned database is a clone of the loaded
-// one, mirroring the filter module's clone-per-probe discipline.
+// betweenProbeShape: 64 BETWEEN probes behind a leading w <> 3. The
+// returned database is a clone of the loaded one, mirroring the
+// filter module's clone-per-probe discipline.
 func betweenProbeShape(b *testing.B) (*sqldb.Database, []*sqldb.SelectStmt) {
 	const rows = 20000
 	db := sqldb.NewDatabase()

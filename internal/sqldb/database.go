@@ -31,8 +31,8 @@ func NewDatabase() *Database {
 }
 
 // newLike creates an empty database sharing db's engine counters —
-// the base of every clone flavour. Clones never inherit index or
-// build-side state: each table starts with empty caches.
+// the base of every clone flavour. Clones never inherit build-side
+// state: each table starts with an empty cache.
 func (db *Database) newLike() *Database {
 	return &Database{tables: map[string]*Table{}, estats: db.estats}
 }

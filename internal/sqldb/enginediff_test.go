@@ -111,7 +111,7 @@ func TestEngineDiffCorpus(t *testing.T) {
 }
 
 // edgeDB builds a small database exercising the engine's corner
-// cases: an indexed-size table with NULLs, a joinable second table,
+// cases: a table of 40 rows with NULLs, a joinable second table,
 // an empty table, and a table whose join key is entirely NULL.
 func edgeDB(t *testing.T) *sqldb.Database {
 	t.Helper()
@@ -175,7 +175,7 @@ func edgeDB(t *testing.T) *sqldb.Database {
 
 // TestEngineDiffEdgeCases table-drives the tricky corners through
 // both engines: empty tables, all-NULL join keys, DISTINCT
-// aggregates, ORDER BY ties, index eligibility boundaries, NULL
+// aggregates, ORDER BY ties, point and range predicates, NULL
 // logic and error parity.
 func TestEngineDiffEdgeCases(t *testing.T) {
 	db := edgeDB(t)

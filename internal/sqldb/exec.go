@@ -13,7 +13,7 @@ import (
 // callers can impose probe timeouts.
 //
 // The plan runs on the vectorized engine (exec_vector.go: columnar
-// batches, secondary hash indexes, hash-join build reuse). The
+// batches, vectorized scans, hash-join build reuse). The
 // differential tests hold it to a tree-walking oracle that lives in
 // oracle_test.go: identical results, column names, row order and
 // cancellation ticks.

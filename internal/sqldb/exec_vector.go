@@ -2,15 +2,13 @@ package sqldb
 
 import "context"
 
-// exec_vector.go — the vectorized, index-assisted execution engine.
+// exec_vector.go — the vectorized execution engine.
 //
 // runVector executes the compiled plan that newExecution builds,
 // stage by stage:
 //
 //   - scan+filter works on selections ([]int32 row ids) narrowed by
-//     vectorized predicate evaluation over column batches, with a
-//     secondary hash index serving a leading `col = literal`
-//     predicate;
+//     vectorized predicate evaluation over column batches;
 //   - the greedy hash join runs over row-id tuple columns and reuses
 //     cached build sides; its result stays as those columns (tuples);
 //   - the post-join tail (residual predicates, aggregation,
@@ -26,17 +24,10 @@ import "context"
 // order (smallest fragment first, from-clause tie-break) and emission
 // order (probe order x bucket order), so row order matches too.
 //
-// One access-path rule holds for every scan: the hash index answers
-// the leading pushdown predicate when it is `col = literal` on a
-// non-float column (indexableEq) and the table has at least
-// indexMinRows rows. Only the leading predicate qualifies: an index
-// serving a later predicate would skip the earlier ones on the rows
-// it rejects, and with them any error the oracle would raise there.
-// Every other predicate evaluates vectorized, in WHERE order.
-
-// indexMinRows gates the secondary index: tables smaller than this
-// are cheaper to scan than to index.
-const indexMinRows = 16
+// Every scan has one path: each pushdown predicate evaluates
+// vectorized, in WHERE order, over the rows the earlier ones kept, so
+// a predicate raises an error on exactly the rows the oracle reaches.
+// Hash-join build sides are the engine's only per-table cache.
 
 func (ex *execution) runVector(ctx context.Context, ticks *int) (*Result, error) {
 	sels := make([][]int32, len(ex.tables))
@@ -64,31 +55,18 @@ func identitySel(n int) []int32 {
 }
 
 // scanVector evaluates a table's pushdown predicates over a narrowing
-// selection of row ids. The leading predicate may be answered by the
-// hash index; the rest evaluate vectorized, in WHERE order, each over
-// only the rows the previous ones kept (matching the tree engine's
-// per-row short-circuit).
+// selection of row ids, vectorized and in WHERE order, each over only
+// the rows the previous ones kept (matching the tree engine's per-row
+// short-circuit).
 func (ex *execution) scanVector(ctx context.Context, t string, ticks *int) ([]int32, error) {
 	tbl := ex.db.tables[t]
-	preds := ex.pushdown[t]
-	// Cost model: a scan charges one tick per stored row whether or
-	// not an index short-circuits the work, so timeout behaviour does
-	// not depend on the engine or on index cache state.
+	// Cost model: a scan charges one tick per stored row, so timeout
+	// behaviour does not depend on how many rows the predicates keep.
 	if err := chargeTicks(ctx, ticks, len(tbl.Rows)); err != nil {
 		return nil, err
 	}
-	ci, key, indexed := 0, "", false
-	if len(preds) > 0 && len(tbl.Rows) >= indexMinRows {
-		ci, key, indexed = ex.indexableEq(t, preds[0])
-	}
-	var sel []int32
-	if indexed {
-		sel = tbl.pointLookup(ci, key, ex.db.estats)
-		preds = preds[1:]
-	} else {
-		sel = identitySel(len(tbl.Rows))
-	}
-	for _, p := range preds {
+	sel := identitySel(len(tbl.Rows))
+	for _, p := range ex.pushdown[t] {
 		if len(sel) == 0 {
 			break // no rows left; the tree engine evaluates nothing either
 		}
@@ -97,9 +75,9 @@ func (ex *execution) scanVector(ctx context.Context, t string, ticks *int) ([]in
 		if err != nil {
 			return nil, err
 		}
-		// Fresh slice: sel may be owned by the index (or by a cached
-		// build side) and must never be narrowed in place.
-		kept := make([]int32, 0, len(sel))
+		// The scan owns sel, and v holds its own storage, so the
+		// selection narrows in place.
+		kept := sel[:0]
 		for k := range sel {
 			if !v.nullAt(k) && v.boolAt(k) {
 				kept = append(kept, sel[k])
@@ -108,50 +86,6 @@ func (ex *execution) scanVector(ctx context.Context, t string, ticks *int) ([]in
 		sel = kept
 	}
 	return sel, nil
-}
-
-// indexableEq recognizes a predicate a point lookup can answer with
-// semantics identical to scanning: `col = literal` (either operand
-// order) where the literal is non-NULL and its type equals the
-// column's type, the column being int, date, bool or text. For those
-// pairings Compare()==0 coincides exactly with group-key equality, so
-// the index returns precisely the rows the tree engine keeps, and the
-// comparison can never error. Floats are excluded (-0.0 vs 0.0 and
-// int/float widening break the key equivalence), as are cross-class
-// pairs (the tree engine may need to raise a comparison error).
-func (ex *execution) indexableEq(t string, p Expr) (ci int, key string, ok bool) {
-	b, isBin := p.(*BinaryExpr)
-	if !isBin || b.Op != OpEq {
-		return 0, "", false
-	}
-	col, isCol := b.L.(*ColumnExpr)
-	lit, isLit := b.R.(*LiteralExpr)
-	if !isCol || !isLit {
-		col, isCol = b.R.(*ColumnExpr)
-		lit, isLit = b.L.(*LiteralExpr)
-		if !isCol || !isLit {
-			return 0, "", false
-		}
-	}
-	if lit.Val.Null {
-		return 0, "", false
-	}
-	// The column must resolve to table t itself.
-	slot, err := ex.slotOf(col)
-	if err != nil || slot.tbl != t {
-		return 0, "", false
-	}
-	ci = slot.idx - ex.offsets[t]
-	colTyp := ex.schemas[t].Columns[ci].Type
-	if colTyp != lit.Val.Typ {
-		return 0, "", false
-	}
-	switch colTyp {
-	case TInt, TDate, TBool, TText:
-		return ci, lit.Val.GroupKey(), true
-	default:
-		return 0, "", false
-	}
 }
 
 // joinVector replicates the tree engine's greedy hash join over

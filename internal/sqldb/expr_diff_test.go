@@ -419,7 +419,7 @@ func vecTrial(t *testing.T, rng *rand.Rand) {
 	for r := 0; r < 24; r++ {
 		tbl.Rows = append(tbl.Rows, genRow(rng))
 	}
-	tbl.invalidateIndexes()
+	tbl.invalidateBuilds()
 
 	e := genBool(rng, 3)
 	stmt := &SelectStmt{

@@ -152,8 +152,8 @@ func (db *Database) CloneShared() *Database {
 	out := db.newLike()
 	for _, n := range db.order {
 		t := db.tables[n]
-		// Fresh Table struct: rows are shared, but index/build caches
-		// are not — a shared clone never inherits or leaks cache state.
+		// Fresh Table struct: rows are shared, but build caches are
+		// not — a shared clone never inherits or leaks cache state.
 		out.tables[n] = &Table{Schema: t.Schema.Clone(), Rows: t.Rows}
 		out.order = append(out.order, n)
 	}

@@ -5,10 +5,9 @@ import "sync/atomic"
 // EngineStats aggregates engine-internal event counters. One instance
 // is shared by a database and every clone derived from it, so the
 // extractor's per-run numbers survive silo cloning. All fields are
-// atomics: index builds happen lazily under concurrent Executes.
+// atomics: build sides are constructed lazily under concurrent
+// Executes.
 type EngineStats struct {
-	IndexBuilds   atomic.Int64 // secondary hash indexes constructed
-	IndexHits     atomic.Int64 // point lookups served by an index
 	JoinBuilds    atomic.Int64 // hash-join build sides constructed
 	JoinReuses    atomic.Int64 // build sides served from the cache
 	VectorQueries atomic.Int64 // Execute calls
@@ -18,8 +17,6 @@ type EngineStats struct {
 
 // EngineCounters is a plain snapshot of EngineStats.
 type EngineCounters struct {
-	IndexBuilds   int64
-	IndexHits     int64
 	JoinBuilds    int64
 	JoinReuses    int64
 	VectorQueries int64
@@ -33,8 +30,6 @@ type EngineCounters struct {
 func (db *Database) EngineCounters() EngineCounters {
 	s := db.estats
 	return EngineCounters{
-		IndexBuilds:   s.IndexBuilds.Load(),
-		IndexHits:     s.IndexHits.Load(),
 		JoinBuilds:    s.JoinBuilds.Load(),
 		JoinReuses:    s.JoinReuses.Load(),
 		VectorQueries: s.VectorQueries.Load(),
@@ -70,26 +65,22 @@ func (b *joinBuild) bucket(key []byte) int32 {
 // every query in the corpus with room to spare.
 const maxJoinBuilds = 8
 
-// invalidateIndexes drops all cached index/build state. Called by
-// every row-set mutation (insert, truncate, sampling, row deletion,
+// invalidateBuilds drops every cached build side. Called by every
+// row-set mutation (insert, truncate, sampling, row deletion,
 // SetRows): row ids shift, so id-based caches cannot be remapped.
-func (t *Table) invalidateIndexes() {
+func (t *Table) invalidateBuilds() {
 	t.idxMu.Lock()
-	t.indexes = nil
 	t.builds = nil
 	t.idxMu.Unlock()
 }
 
-// invalidateColumn drops cached state that keys on column ci. Value
+// invalidateColumn drops the build sides that key on column ci. Value
 // mutations (Set, SetAll, NegateColumn) leave row ids stable, so
-// indexes and build sides over *other* columns stay valid — that is
-// what lets join-key indexes survive the filter module's probes,
-// which rewrite candidate filter columns in place.
+// build sides over *other* columns stay valid — that is what lets
+// join-key builds survive the filter module's probes, which rewrite
+// candidate filter columns in place.
 func (t *Table) invalidateColumn(ci int) {
 	t.idxMu.Lock()
-	if t.indexes != nil {
-		delete(t.indexes, ci)
-	}
 	if len(t.builds) > 0 {
 		kept := t.builds[:0]
 		for _, b := range t.builds {
@@ -107,36 +98,6 @@ func (t *Table) invalidateColumn(ci int) {
 		t.builds = kept
 	}
 	t.idxMu.Unlock()
-}
-
-// pointLookup returns the ids of rows whose column ci equals the
-// value with the given group key, building the secondary hash index
-// on first use. The returned slice is owned by the index; callers
-// must not mutate it. A built index map is never mutated again
-// (invalidation only unlinks it from the table), so the slice stays
-// valid after idxMu is released.
-func (t *Table) pointLookup(ci int, key string, es *EngineStats) []int32 {
-	t.idxMu.Lock()
-	defer t.idxMu.Unlock()
-	idx, ok := t.indexes[ci]
-	if ok {
-		es.IndexHits.Add(1)
-		return idx[key]
-	}
-	idx = make(map[string][]int32, len(t.Rows))
-	for i, r := range t.Rows {
-		if r[ci].Null {
-			continue
-		}
-		k := r[ci].GroupKey()
-		idx[k] = append(idx[k], int32(i))
-	}
-	if t.indexes == nil {
-		t.indexes = map[int]map[string][]int32{}
-	}
-	t.indexes[ci] = idx
-	es.IndexBuilds.Add(1)
-	return idx[key]
 }
 
 // joinBuildFor returns the hash-join build side for (cols, sel),

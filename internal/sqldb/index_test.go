@@ -1,10 +1,11 @@
 package sqldb
 
-// index_test.go — property tests for the secondary hash indexes and
-// the join-build cache: lookups must agree with a full scan across
-// arbitrary mutation sequences, caches must survive SnapshotRows /
-// SetRows round-trips through invalidation, and clones must never
-// share mutable index state.
+// index_test.go — property tests for the join-build cache, the
+// engine's one per-table cache: build buckets must agree with a full
+// scan across arbitrary mutation sequences, the cache must be dropped
+// by SetRows and rebuilt against the restored rows, clones must start
+// without it, and concurrent first builds must serialize. One scan
+// test pins that pushdown predicates evaluate in WHERE order.
 
 import (
 	"context"
@@ -15,8 +16,8 @@ import (
 	"testing"
 )
 
-// newIndexTestTable builds a table with enough rows to clear
-// indexMinRows, with NULLs sprinkled into the key column.
+// newIndexTestTable builds a p(k, w) table with NULLs sprinkled into
+// the key column k.
 func newIndexTestTable(t *testing.T, n int, rng *rand.Rand) *Table {
 	t.Helper()
 	tbl := NewTable(TableSchema{Name: "p", Columns: []Column{
@@ -59,23 +60,30 @@ func idsMatch(a, b []int32) bool {
 	return true
 }
 
-// checkAllKeys compares pointLookup against the scan oracle for every
-// key value in the domain plus an absent one.
+// checkAllKeys compares the buckets of the build side on column k
+// over every row against the scan oracle, for every key value in the
+// domain plus an absent one.
 func checkAllKeys(t *testing.T, tbl *Table, es *EngineStats, step string) {
 	t.Helper()
+	b := tbl.joinBuildFor([]int{0}, identitySel(len(tbl.Rows)), es)
 	for k := int64(0); k <= 10; k++ {
-		key := NewInt(k).GroupKey()
-		got := tbl.pointLookup(0, key, es)
-		want := scanLookup(tbl, 0, key)
+		var got []int32
+		if bk := b.bucket(appendKey(nil, NewInt(k))); bk >= 0 {
+			got = b.buckets[bk]
+		}
+		want := scanLookup(tbl, 0, NewInt(k).GroupKey())
 		if !idsMatch(got, want) {
-			t.Fatalf("%s: key %d: pointLookup=%v scan=%v", step, k, got, want)
+			t.Fatalf("%s: key %d: build=%v scan=%v", step, k, got, want)
 		}
 	}
 }
 
-// TestIndexMatchesScanUnderMutation drives a random mutation sequence
-// and re-validates every lookup after each step.
-func TestIndexMatchesScanUnderMutation(t *testing.T) {
+// TestJoinBuildMatchesScanUnderMutation drives a random mutation
+// sequence and re-validates every bucket after each step. Row-set
+// mutations often leave the row count, and so the identity selection
+// a cached build is keyed on, unchanged; only invalidation keeps a
+// stale build from being served.
+func TestJoinBuildMatchesScanUnderMutation(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	tbl := newIndexTestTable(t, 64, rng)
 	es := &EngineStats{}
@@ -111,7 +119,7 @@ func TestIndexMatchesScanUnderMutation(t *testing.T) {
 				}
 			}
 		case 5:
-			// Mutating the non-key column must leave the key index
+			// Mutating the non-key column must leave the key build
 			// valid (per-column invalidation).
 			if err := tbl.SetAll("w", NewInt(rng.Int63n(5))); err != nil {
 				t.Fatal(err)
@@ -128,10 +136,10 @@ func TestIndexMatchesScanUnderMutation(t *testing.T) {
 	}
 }
 
-// TestIndexSurvivesSetRowsRoundTrip exercises the SnapshotRows /
-// SetRows pattern the minimizer uses: the index must be invalidated
-// by SetRows and rebuilt correctly against the restored rows.
-func TestIndexSurvivesSetRowsRoundTrip(t *testing.T) {
+// TestBuildCacheSetRowsRoundTrip exercises the SnapshotRows / SetRows
+// pattern the minimizer uses: SetRows must drop the build cache, and
+// the rebuilt buckets must match the restored rows.
+func TestBuildCacheSetRowsRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	tbl := newIndexTestTable(t, 48, rng)
 	es := &EngineStats{}
@@ -144,24 +152,27 @@ func TestIndexSurvivesSetRowsRoundTrip(t *testing.T) {
 	checkAllKeys(t, tbl, es, "after KeepRange")
 
 	tbl.SetRows(snap)
+	if tbl.builds != nil {
+		t.Fatal("SetRows kept the build cache")
+	}
 	checkAllKeys(t, tbl, es, "after restore")
 	if got, want := tbl.RowCount(), len(snap); got != want {
 		t.Fatalf("restored %d rows, want %d", got, want)
 	}
 }
 
-// TestCloneIndexIsolation asserts clones never share mutable index
-// state: a clone starts with no caches, and mutating either side
-// leaves the other side's lookups consistent with its own rows.
-func TestCloneIndexIsolation(t *testing.T) {
+// TestCloneBuildCacheIsolation asserts clones never share the mutable
+// build cache: a clone starts with none, and mutating either side
+// leaves the other side's builds consistent with its own rows.
+func TestCloneBuildCacheIsolation(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	tbl := newIndexTestTable(t, 32, rng)
 	es := &EngineStats{}
-	checkAllKeys(t, tbl, es, "warm original") // builds the index
+	checkAllKeys(t, tbl, es, "warm original") // fills the cache
 
 	cl := tbl.Clone()
-	if cl.indexes != nil || cl.builds != nil {
-		t.Fatal("clone inherited index/build caches")
+	if cl.builds != nil {
+		t.Fatal("clone inherited the build cache")
 	}
 	if err := cl.SetAll("k", NewInt(3)); err != nil {
 		t.Fatal(err)
@@ -169,7 +180,7 @@ func TestCloneIndexIsolation(t *testing.T) {
 	checkAllKeys(t, cl, es, "mutated clone")
 	checkAllKeys(t, tbl, es, "original after clone mutation")
 
-	// CloneShared shares row storage but must not share caches either.
+	// CloneShared shares row storage but must not share the cache.
 	db := NewDatabase()
 	if err := db.CreateTable(TableSchema{Name: "p", Columns: []Column{
 		{Name: "k", Type: TInt}, {Name: "w", Type: TInt},
@@ -183,152 +194,91 @@ func TestCloneIndexIsolation(t *testing.T) {
 	checkAllKeys(t, orig, db.estats, "warm shared original")
 	shared := db.CloneShared()
 	st, _ := shared.Table("p")
-	if st.indexes != nil || st.builds != nil {
-		t.Fatal("CloneShared table inherited index/build caches")
+	if st.builds != nil {
+		t.Fatal("CloneShared table inherited the build cache")
 	}
 	st.SetRows(append([]Row{}, orig.Rows[:8]...))
 	checkAllKeys(t, st, shared.estats, "shared clone after SetRows")
 	checkAllKeys(t, orig, db.estats, "shared original")
 }
 
-// TestIndexAnswersOnlyLeadingEquality pins the engine's one
-// access-path rule through its counters: the hash index answers the
-// leading pushdown predicate when it is an indexable equality on a
-// table of at least indexMinRows rows, and nothing else. Rows with
-// k = 0 make w / k raise, so an index that skipped a predicate ahead
-// of it would also skip the oracle's division-by-zero error.
-func TestIndexAnswersOnlyLeadingEquality(t *testing.T) {
+// TestScanEvaluatesPredicatesInWhereOrder pins the engine's one scan
+// rule: pushdown predicates evaluate in WHERE order, each over the
+// rows the earlier ones kept. Rows with k = 0 make w / k raise, so a
+// scan that answered a later equality ahead of it would skip the
+// oracle's division-by-zero error.
+func TestScanEvaluatesPredicatesInWhereOrder(t *testing.T) {
 	ctx := context.Background()
-	newDB := func(t *testing.T, rows int) *Database {
-		t.Helper()
-		db := NewDatabase()
-		if err := db.CreateTable(TableSchema{Name: "p", Columns: []Column{
-			{Name: "k", Type: TInt}, {Name: "w", Type: TInt},
-		}}); err != nil {
+	db := NewDatabase()
+	if err := db.CreateTable(TableSchema{Name: "p", Columns: []Column{
+		{Name: "k", Type: TInt}, {Name: "w", Type: TInt},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		if err := db.Insert("p", NewInt(int64(i%5)), NewInt(int64(i))); err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < rows; i++ {
-			if err := db.Insert("p", NewInt(int64(i%5)), NewInt(int64(i))); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return db
 	}
 	kEq3 := Bin(OpEq, Col("p", "k"), Lit(NewInt(3)))
 	wDivK := Bin(OpGt, Bin(OpDiv, Col("p", "w"), Col("p", "k")), Lit(NewInt(0)))
-	// run executes the filter on both engines and returns the vector
-	// engine's index activity (builds plus hits) and its error.
-	run := func(t *testing.T, db *Database, where Expr) (int64, error) {
-		t.Helper()
-		stmt := &SelectStmt{Items: []SelectItem{{Expr: Col("p", "w")}}, From: []string{"p"}, Where: where}
+	for _, c := range []struct {
+		name    string
+		where   Expr
+		wantErr string
+	}{
+		{"k = 3", kEq3, ""},
+		{"k = 3 and w / k > 0", Bin(OpAnd, kEq3, wDivK), ""},
+		{"w / k > 0 and k = 3", Bin(OpAnd, wDivK, kEq3), "division by zero"},
+	} {
+		stmt := &SelectStmt{Items: []SelectItem{{Expr: Col("p", "w")}}, From: []string{"p"}, Where: c.where}
 		want, errO := db.executeOracle(ctx, stmt)
-		before := db.EngineCounters()
 		got, errV := db.Execute(ctx, stmt)
-		after := db.EngineCounters()
-		if (errO != nil) != (errV != nil) {
-			t.Fatalf("error presence diverges: oracle=%v vector=%v", errO, errV)
+		for _, err := range []error{errO, errV} {
+			if c.wantErr == "" && err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			if c.wantErr != "" && (err == nil || !strings.Contains(err.Error(), c.wantErr)) {
+				t.Fatalf("%s: err = %v, want %s (oracle=%v vector=%v)", c.name, err, c.wantErr, errO, errV)
+			}
 		}
 		if errV == nil && got.String() != want.String() {
-			t.Fatalf("engines diverge:\n%s\nvs\n%s", got, want)
+			t.Fatalf("%s: engines diverge:\n%s\nvs\n%s", c.name, got, want)
 		}
-		return (after.IndexBuilds - before.IndexBuilds) + (after.IndexHits - before.IndexHits), errV
+		if errV == nil && got.RowCount() != 4 {
+			t.Fatalf("%s: %d rows, want the 4 with k = 3", c.name, got.RowCount())
+		}
 	}
-
-	t.Run("leading-eq-indexed", func(t *testing.T) {
-		probes, err := run(t, newDB(t, 20), Bin(OpAnd, kEq3, wDivK))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if probes == 0 {
-			t.Error("leading k = 3 on a 20-row table was not answered by the index")
-		}
-	})
-	t.Run("non-leading-eq-scanned", func(t *testing.T) {
-		probes, err := run(t, newDB(t, 20), Bin(OpAnd, wDivK, kEq3))
-		if err == nil || !strings.Contains(err.Error(), "division by zero") {
-			t.Fatalf("err = %v, want division by zero", err)
-		}
-		if probes != 0 {
-			t.Errorf("index touched %d times for a non-leading equality", probes)
-		}
-	})
-	t.Run("below-min-rows-scanned", func(t *testing.T) {
-		probes, err := run(t, newDB(t, 15), kEq3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if probes != 0 {
-			t.Errorf("index touched %d times on a 15-row table", probes)
-		}
-	})
 }
 
-// TestConcurrentPointLookup hammers the lazy build path from many
-// goroutines (run under -race by CI): concurrent first lookups must
-// serialize the build and all return scan-consistent results.
-func TestConcurrentPointLookup(t *testing.T) {
+// TestConcurrentJoinBuild hammers the lazy build path from many
+// goroutines (run under -race by CI): concurrent first requests for
+// one build side must serialize into a single build that every
+// caller shares.
+func TestConcurrentJoinBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	tbl := newIndexTestTable(t, 128, rng)
 	es := &EngineStats{}
-	want := map[int64][]int32{}
-	for k := int64(0); k < 10; k++ {
-		want[k] = scanLookup(tbl, 0, NewInt(k).GroupKey())
-	}
+	sel := identitySel(tbl.RowCount())
+	got := make([]*joinBuild, 16)
 	var wg sync.WaitGroup
-	errs := make(chan error, 64)
-	for g := 0; g < 16; g++ {
+	for g := range got {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for k := int64(0); k < 10; k++ {
-				got := tbl.pointLookup(0, NewInt(k).GroupKey(), es)
-				if !idsMatch(got, want[k]) {
-					errs <- fmt.Errorf("goroutine %d key %d: got %v want %v", g, k, got, want[k])
-					return
-				}
-			}
+			got[g] = tbl.joinBuildFor([]int{0}, sel, es)
 		}(g)
 	}
 	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
+	for g, b := range got {
+		if b != got[0] {
+			t.Fatalf("goroutine %d got a different build side", g)
+		}
 	}
-	if b := es.IndexBuilds.Load(); b != 1 {
-		t.Fatalf("index built %d times under concurrency, want 1", b)
+	if b := es.JoinBuilds.Load(); b != 1 {
+		t.Fatalf("build side built %d times under concurrency, want 1", b)
 	}
-}
-
-// TestIndexPerColumnInvalidation pins the counter behavior: touching
-// another column keeps the index (hits keep accruing, no rebuild);
-// touching the indexed column forces exactly one rebuild.
-func TestIndexPerColumnInvalidation(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	tbl := newIndexTestTable(t, 32, rng)
-	es := &EngineStats{}
-	key := NewInt(1).GroupKey()
-
-	tbl.pointLookup(0, key, es)
-	if got := es.IndexBuilds.Load(); got != 1 {
-		t.Fatalf("builds=%d after first lookup, want 1", got)
-	}
-	if err := tbl.SetAll("w", NewInt(7)); err != nil {
-		t.Fatal(err)
-	}
-	tbl.pointLookup(0, key, es)
-	if got := es.IndexBuilds.Load(); got != 1 {
-		t.Fatalf("builds=%d after non-key mutation, want 1 (index should survive)", got)
-	}
-	if got := es.IndexHits.Load(); got == 0 {
-		t.Fatal("expected index hits to accrue")
-	}
-	if err := tbl.SetAll("k", NewInt(2)); err != nil {
-		t.Fatal(err)
-	}
-	tbl.pointLookup(0, key, es)
-	if got := es.IndexBuilds.Load(); got != 2 {
-		t.Fatalf("builds=%d after key mutation, want 2 (rebuild)", got)
-	}
+	checkAllKeys(t, tbl, es, "after concurrent build")
 }
 
 // TestJoinBuildCache pins build-side reuse: identical (cols, sel)

@@ -3,7 +3,7 @@ package sqldb_test
 // parity_test.go — cross-engine invariants beyond result equality:
 // the cancellation cost model must charge the same tick total on the
 // tree-walking oracle and on Execute (so timeouts behave identically
-// regardless of engine or index cache state), and ORDER BY
+// regardless of engine or build-cache state), and ORDER BY
 // tie-breaking must be byte-stable across engines, repeated runs,
 // concurrency, and the top-K short-circuit.
 
@@ -47,8 +47,8 @@ func tickDelta(t *testing.T, db *sqldb.Database, eng engine, sql string) int64 {
 
 // TestCtxTickParityAcrossModes pins the residual-stage (and every
 // other stage's) tick accounting: both engines must charge the same
-// cancellation ticks for the same statement, covering scan, indexed
-// scan, hash join, cross product, residual predicates, aggregation,
+// cancellation ticks for the same statement, covering scan, point
+// filters, hash join, cross product, residual predicates, aggregation,
 // projection, ordering and limits. Equal tick totals are what make
 // timeout behaviour independent of the engine's access paths.
 func TestCtxTickParityAcrossModes(t *testing.T) {

@@ -103,6 +103,11 @@ func appendRowKey(b []byte, row Row) []byte {
 	return b
 }
 
+// RowKey returns row's self-delimiting key (appendRowKey): two rows
+// share a key exactly when their GroupKeys are equal position by
+// position.
+func RowKey(row Row) string { return string(appendRowKey(nil, row)) }
+
 // Checksum computes a position-dependent checksum over the result, so
 // two results with the same rows in different orders differ. The
 // extraction checker uses this to verify physical ordering.

@@ -18,17 +18,16 @@ func (r Row) Clone() Row {
 }
 
 // Table stores the rows of one table together with its schema, plus
-// lazily built engine caches (secondary hash indexes and hash-join
-// build sides). The caches are strictly derived state: every mutator
-// below invalidates the affected entries, clones start with none, and
-// idxMu serializes lazy builds under concurrent read-only Executes.
+// the engine's one lazily built cache, the hash-join build sides. The
+// cache is strictly derived state: every mutator below invalidates
+// the affected entries, clones start with none, and idxMu serializes
+// lazy builds under concurrent read-only Executes.
 type Table struct {
 	Schema TableSchema
 	Rows   []Row
 
-	idxMu   sync.Mutex
-	indexes map[int]map[string][]int32 // column -> group key -> row ids
-	builds  []*joinBuild               // cached hash-join build sides
+	idxMu  sync.Mutex
+	builds []*joinBuild // cached hash-join build sides
 }
 
 // NewTable creates an empty table for the schema.
@@ -63,7 +62,7 @@ func (t *Table) SnapshotRows() []Row { return t.Rows }
 // keeps a snapshot it intends to restore later.
 func (t *Table) SetRows(rows []Row) {
 	t.Rows = rows
-	t.invalidateIndexes()
+	t.invalidateBuilds()
 }
 
 // CopyRows shallow-copies a row slice: a fresh backing array whose
@@ -96,7 +95,7 @@ func (t *Table) InsertRows(rows []Row) error {
 		}
 	}
 	t.Rows = append(t.Rows, rows...)
-	t.invalidateIndexes()
+	t.invalidateBuilds()
 	return nil
 }
 
@@ -218,7 +217,7 @@ func (t *Table) NegateColumn(col string) error {
 // Truncate removes all rows.
 func (t *Table) Truncate() {
 	t.Rows = t.Rows[:0]
-	t.invalidateIndexes()
+	t.invalidateBuilds()
 }
 
 // KeepRange retains only rows in [lo, hi) — the minimizer's halving
@@ -230,7 +229,7 @@ func (t *Table) KeepRange(lo, hi int) error {
 	kept := make([]Row, hi-lo)
 	copy(kept, t.Rows[lo:hi])
 	t.Rows = kept
-	t.invalidateIndexes()
+	t.invalidateBuilds()
 	return nil
 }
 
@@ -252,7 +251,7 @@ func (t *Table) Sample(fraction float64, rng *rand.Rand) {
 		kept = append(kept, t.Rows[rng.Intn(len(t.Rows))])
 	}
 	t.Rows = kept
-	t.invalidateIndexes()
+	t.invalidateBuilds()
 }
 
 // DeleteRow removes the row at the given index.
@@ -261,7 +260,7 @@ func (t *Table) DeleteRow(i int) error {
 		return fmt.Errorf("table %s has no row %d", t.Schema.Name, i)
 	}
 	t.Rows = append(t.Rows[:i], t.Rows[i+1:]...)
-	t.invalidateIndexes()
+	t.invalidateBuilds()
 	return nil
 }
 
@@ -272,6 +271,6 @@ func (t *Table) AppendRowCopy(i int) (int, error) {
 		return 0, fmt.Errorf("table %s has no row %d", t.Schema.Name, i)
 	}
 	t.Rows = append(t.Rows, t.Rows[i].Clone())
-	t.invalidateIndexes()
+	t.invalidateBuilds()
 	return len(t.Rows) - 1, nil
 }
