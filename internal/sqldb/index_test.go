@@ -202,53 +202,79 @@ func TestCloneBuildCacheIsolation(t *testing.T) {
 	checkAllKeys(t, orig, db.estats, "shared original")
 }
 
-// TestScanEvaluatesPredicatesInWhereOrder pins the engine's one scan
+// TestIndexAnswersOnlyLeadingEquality pins the engine's one scan
 // rule: pushdown predicates evaluate in WHERE order, each over the
-// rows the earlier ones kept. Rows with k = 0 make w / k raise, so a
-// scan that answered a later equality ahead of it would skip the
-// oracle's division-by-zero error.
-func TestScanEvaluatesPredicatesInWhereOrder(t *testing.T) {
+// rows the earlier ones kept, on tables of any size. The name and the
+// case names are kept from the deleted hash point index, which once
+// answered a leading equality on tables of 16 or more rows; the scan
+// must give the oracle's answer in each of those cases. Rows with
+// k = 0 make w / k raise, so a scan that answered a later equality
+// ahead of it would skip the oracle's division-by-zero error.
+func TestIndexAnswersOnlyLeadingEquality(t *testing.T) {
 	ctx := context.Background()
-	db := NewDatabase()
-	if err := db.CreateTable(TableSchema{Name: "p", Columns: []Column{
-		{Name: "k", Type: TInt}, {Name: "w", Type: TInt},
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20; i++ {
-		if err := db.Insert("p", NewInt(int64(i%5)), NewInt(int64(i))); err != nil {
+	newDB := func(t *testing.T, rows int) *Database {
+		t.Helper()
+		db := NewDatabase()
+		if err := db.CreateTable(TableSchema{Name: "p", Columns: []Column{
+			{Name: "k", Type: TInt}, {Name: "w", Type: TInt},
+		}}); err != nil {
 			t.Fatal(err)
 		}
+		for i := 0; i < rows; i++ {
+			if err := db.Insert("p", NewInt(int64(i%5)), NewInt(int64(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return db
 	}
 	kEq3 := Bin(OpEq, Col("p", "k"), Lit(NewInt(3)))
 	wDivK := Bin(OpGt, Bin(OpDiv, Col("p", "w"), Col("p", "k")), Lit(NewInt(0)))
-	for _, c := range []struct {
-		name    string
-		where   Expr
-		wantErr string
-	}{
-		{"k = 3", kEq3, ""},
-		{"k = 3 and w / k > 0", Bin(OpAnd, kEq3, wDivK), ""},
-		{"w / k > 0 and k = 3", Bin(OpAnd, wDivK, kEq3), "division by zero"},
-	} {
-		stmt := &SelectStmt{Items: []SelectItem{{Expr: Col("p", "w")}}, From: []string{"p"}, Where: c.where}
+	// run executes the filter on both engines, requires them to agree,
+	// and returns the vector engine's row count and error.
+	run := func(t *testing.T, db *Database, where Expr) (int, error) {
+		t.Helper()
+		stmt := &SelectStmt{Items: []SelectItem{{Expr: Col("p", "w")}}, From: []string{"p"}, Where: where}
 		want, errO := db.executeOracle(ctx, stmt)
 		got, errV := db.Execute(ctx, stmt)
-		for _, err := range []error{errO, errV} {
-			if c.wantErr == "" && err != nil {
-				t.Fatalf("%s: %v", c.name, err)
+		if (errO != nil) != (errV != nil) {
+			t.Fatalf("error presence diverges: oracle=%v vector=%v", errO, errV)
+		}
+		if errV != nil {
+			if errO.Error() != errV.Error() {
+				t.Fatalf("errors diverge: oracle=%v vector=%v", errO, errV)
 			}
-			if c.wantErr != "" && (err == nil || !strings.Contains(err.Error(), c.wantErr)) {
-				t.Fatalf("%s: err = %v, want %s (oracle=%v vector=%v)", c.name, err, c.wantErr, errO, errV)
-			}
+			return 0, errV
 		}
-		if errV == nil && got.String() != want.String() {
-			t.Fatalf("%s: engines diverge:\n%s\nvs\n%s", c.name, got, want)
+		if got.String() != want.String() {
+			t.Fatalf("engines diverge:\n%s\nvs\n%s", got, want)
 		}
-		if errV == nil && got.RowCount() != 4 {
-			t.Fatalf("%s: %d rows, want the 4 with k = 3", c.name, got.RowCount())
-		}
+		return got.RowCount(), nil
 	}
+
+	t.Run("leading-eq-indexed", func(t *testing.T) {
+		n, err := run(t, newDB(t, 20), Bin(OpAnd, kEq3, wDivK))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != 4 {
+			t.Errorf("%d rows, want the 4 with k = 3", n)
+		}
+	})
+	t.Run("non-leading-eq-scanned", func(t *testing.T) {
+		_, err := run(t, newDB(t, 20), Bin(OpAnd, wDivK, kEq3))
+		if err == nil || !strings.Contains(err.Error(), "division by zero") {
+			t.Fatalf("err = %v, want division by zero", err)
+		}
+	})
+	t.Run("below-min-rows-scanned", func(t *testing.T) {
+		n, err := run(t, newDB(t, 15), kEq3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != 3 {
+			t.Errorf("%d rows, want the 3 with k = 3", n)
+		}
+	})
 }
 
 // TestConcurrentJoinBuild hammers the lazy build path from many
