@@ -3,7 +3,8 @@
 #
 # Runs, in order: build, formatting check, go vet, a build and vet of
 # the nested perfbench module (the root ./... patterns skip it, yet it
-# reads core.Config and core.Stats fields), the project's own linter
+# reads core.Config and core.Stats fields), a short traced perfbench
+# run per workload as a correctness gate, the project's own linter
 # (internal/analysis via cmd/unmasquelint), the full test suite
 # under the race detector (plus ten repeats of the probe cache's
 # concurrency test), the differential engine harness (the vector
@@ -34,6 +35,25 @@ go vet ./...
 
 echo "== perfbench build + vet (nested module)"
 (cd perfbench && go build -o /dev/null . && go vet .)
+
+# perfbench correctness gate: one short traced run per workload. The
+# harness checks every job's SQL against the app's result on a fresh
+# D_I, that each job's ledger holds its invocations plus both kinds of
+# cache hit, and that the traced and untraced runs invoke E equally
+# often; its last line must report "correct":true and "failed":0.
+echo "== perfbench correctness gate (traced, 1 s per workload)"
+for w in cli-sql daemon-cold daemon-warm; do
+    pb_last=$(python3 perfbench/run.py --workload "$w" --seed 1 --seconds 1 --trace 1 | tail -n 1)
+    # jq -e accepts empty input, so a run that printed nothing must fail
+    # on its own.
+    if [ -z "$pb_last" ] ||
+        ! printf '%s\n' "$pb_last" | jq -e '.correct == true and .failed == 0' >/dev/null; then
+        echo "perfbench $w: correctness gate failed" >&2
+        printf '%s\n' "$pb_last" >&2
+        exit 1
+    fi
+    echo "perfbench $w: correct, 0 failed"
+done
 
 echo "== unmasquelint"
 go run ./cmd/unmasquelint ./...

@@ -9,8 +9,7 @@
 //	benchrunner -exp obs -quick -snapshot .   # also write BENCH_obs.json
 //
 // Experiments: fig8, fig9, fig10, fig11, schemascale, enki, wilos,
-// rubis, tpcds, ablation, having, parallel, trace, service, obs,
-// storage, all.
+// rubis, tpcds, ablation, having, obs, all.
 package main
 
 import (
@@ -25,7 +24,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment to run (fig8|fig9|fig10|fig11|schemascale|enki|wilos|rubis|tpcds|ablation|having|parallel|trace|service|obs|storage|all)")
+		exp      = flag.String("exp", "all", "experiment to run (fig8|fig9|fig10|fig11|schemascale|enki|wilos|rubis|tpcds|ablation|having|obs|all)")
 		quick    = flag.Bool("quick", false, "reduced scales and budgets (~1 minute total)")
 		seed     = flag.Int64("seed", 1, "generation and extraction seed")
 		snapshot = flag.String("snapshot", "", "directory to write BENCH_<exp>.json row snapshots into")
@@ -50,25 +49,9 @@ func main() {
 		"tpcds":       func() (any, error) { return bench.TPCDS(os.Stdout, opt) },
 		"ablation":    func() (any, error) { return bench.Ablation(os.Stdout, opt) },
 		"having":      func() (any, error) { return bench.Having(os.Stdout, opt) },
-		"parallel":    func() (any, error) { return bench.Parallel(os.Stdout, opt) },
-		"trace":       func() (any, error) { return bench.TraceProfile(os.Stdout, opt) },
-		"service":     func() (any, error) { return bench.Service(os.Stdout, opt) },
 		"obs":         func() (any, error) { return bench.Obs(os.Stdout, opt) },
-		"storage": func() (any, error) {
-			// The storage experiment needs a scratch directory for the
-			// probe-cache log; bench itself does no file I/O (GL010),
-			// so the temp dir is owned here.
-			scratch, err := os.MkdirTemp("", "unmasque-bench-storage-*")
-			if err != nil {
-				return nil, err
-			}
-			defer os.RemoveAll(scratch)
-			sopt := opt
-			sopt.ScratchDir = scratch
-			return bench.Storage(os.Stdout, sopt)
-		},
 	}
-	order := []string{"fig8", "fig9", "fig10", "fig11", "schemascale", "enki", "wilos", "rubis", "tpcds", "ablation", "having", "parallel", "trace", "service", "obs", "storage"}
+	order := []string{"fig8", "fig9", "fig10", "fig11", "schemascale", "enki", "wilos", "rubis", "tpcds", "ablation", "having", "obs"}
 
 	var selected []string
 	if *exp == "all" {

@@ -26,12 +26,6 @@ type Options struct {
 	Quick bool
 	// Seed drives data generation and extraction randomness.
 	Seed int64
-	// ScratchDir is a writable directory for the storage experiment's
-	// probe-cache log, which requires it. The caller owns its
-	// lifecycle; this package only passes it to
-	// storage.OpenProbeCache (which creates subdirectories as needed)
-	// and never touches the filesystem directly.
-	ScratchDir string
 }
 
 // DefaultOptions mirrors the paper-shaped run.
@@ -50,14 +44,6 @@ type QueryTiming struct {
 	Verified     bool
 	Summary      string
 	Err          error
-
-	// Scheduler counters (PR 2): resolved worker-pool size, probes
-	// dispatched through the pool, and run-memoization outcomes.
-	Workers        int
-	ParallelProbes int64
-	CacheHits      int64
-	CacheMisses    int64
-	CacheHitRate   float64
 }
 
 // extractOne runs the pipeline on one executable and measures the
@@ -85,11 +71,6 @@ func extractOne(exe app.Executable, db *sqldb.Database, cfg core.Config) QueryTi
 	qt.Invocations = st.AppInvocations
 	qt.Verified = ext.CheckerVerified
 	qt.Summary = ext.Summary()
-	qt.Workers = st.Workers
-	qt.ParallelProbes = st.ParallelProbes
-	qt.CacheHits = st.CacheHits
-	qt.CacheMisses = st.CacheMisses
-	qt.CacheHitRate = st.CacheHitRate()
 	return qt
 }
 
@@ -521,80 +502,6 @@ func Ablation(w io.Writer, opt Options) ([]AblationRow, error) {
 		}
 	}
 	tbl.Note("paper finding: halving the currently largest table is usually fastest")
-	tbl.Render(w)
-	return out, nil
-}
-
-// --------------------------------------------------------------- E13
-
-// ParallelRow compares one query's sequential-uncached extraction
-// against the concurrent, memoized scheduler.
-type ParallelRow struct {
-	Query          string
-	SeqTotal       time.Duration
-	SeqInvocations int64
-	ParTotal       time.Duration
-	ParInvocations int64
-	Workers        int
-	CacheHits      int64
-	CacheHitRate   float64
-	SQLIdentical   bool
-}
-
-// Parallel measures the probe scheduler (PR 2) on the TPC-H suite:
-// each hidden query is extracted once with the fully sequential,
-// uncached pipeline (Workers=1, DisableRunCache) and once with the
-// concurrent memoized one (default Workers, cache on). The extracted
-// SQL must be byte-identical between the two runs; the table reports
-// the wall-clock and application-invocation reductions.
-func Parallel(w io.Writer, opt Options) ([]ParallelRow, error) {
-	scale := tpch.Scale100GB
-	if opt.Quick {
-		scale = tpch.ScaleTiny * 4
-	}
-	db := tpch.NewDatabase(scale, opt.Seed)
-	if err := tpch.PlantWitnesses(db, tpch.HiddenQueries()); err != nil {
-		return nil, err
-	}
-	seqCfg := core.DefaultConfig()
-	seqCfg.Seed = opt.Seed
-	seqCfg.Workers = 1
-	seqCfg.DisableRunCache = true
-	parCfg := core.DefaultConfig()
-	parCfg.Seed = opt.Seed // Workers=0: runtime.GOMAXPROCS
-
-	var out []ParallelRow
-	tbl := &TextTable{
-		Title:  "Probe Scheduler — sequential/uncached vs concurrent/memoized (TPC-H)",
-		Header: []string{"query", "seq_ms", "seq_invocations", "par_ms", "par_invocations", "workers", "cache_hit_rate", "speedup", "sql_identical"},
-	}
-	for _, name := range tpch.QueryOrder() {
-		exe := app.MustSQLExecutable(name, tpch.HiddenQueries()[name])
-		seq, err := core.Extract(exe, db, seqCfg)
-		if err != nil {
-			return nil, fmt.Errorf("%s sequential: %w", name, err)
-		}
-		par, err := core.Extract(exe, db, parCfg)
-		if err != nil {
-			return nil, fmt.Errorf("%s parallel: %w", name, err)
-		}
-		row := ParallelRow{
-			Query:          name,
-			SeqTotal:       seq.Stats.Total,
-			SeqInvocations: seq.Stats.AppInvocations,
-			ParTotal:       par.Stats.Total,
-			ParInvocations: par.Stats.AppInvocations,
-			Workers:        par.Stats.Workers,
-			CacheHits:      par.Stats.CacheHits,
-			CacheHitRate:   par.Stats.CacheHitRate(),
-			SQLIdentical:   seq.SQL == par.SQL,
-		}
-		out = append(out, row)
-		tbl.Add(name, ms(row.SeqTotal), row.SeqInvocations, ms(row.ParTotal), row.ParInvocations,
-			row.Workers, fmt.Sprintf("%.2f", row.CacheHitRate),
-			fmt.Sprintf("%.2f", float64(row.SeqTotal)/float64(row.ParTotal)), row.SQLIdentical)
-	}
-	tbl.Note("determinism contract: the extracted SQL text is byte-identical for every worker count")
 	tbl.Render(w)
 	return out, nil
 }

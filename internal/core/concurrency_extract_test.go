@@ -13,6 +13,7 @@ import (
 
 	"unmasque/internal/app"
 	"unmasque/internal/core"
+	"unmasque/internal/obs"
 	"unmasque/internal/sqldb"
 )
 
@@ -27,69 +28,56 @@ var concurrencyQueries = []string{
 }
 
 // TestExtractionIndependentOfWorkerCount pins the determinism
-// contract across 1, 2 and 8 workers, with and without the cache.
+// contract across 1, 2 and 8 workers.
 func TestExtractionIndependentOfWorkerCount(t *testing.T) {
 	db := warehouseDB(t, 25, 50, 160)
 	for _, sql := range concurrencyQueries {
 		exe := app.MustSQLExecutable("det", sql)
 		var wantSQL string
 		for _, workers := range []int{1, 2, 8} {
-			for _, disableCache := range []bool{false, true} {
-				cfg := defaultCfg()
-				cfg.Workers = workers
-				cfg.DisableRunCache = disableCache
-				ext, err := core.Extract(exe, db, cfg)
-				if err != nil {
-					t.Fatalf("workers=%d cache=%v: %v\nquery: %s", workers, !disableCache, err, sql)
-				}
-				if wantSQL == "" {
-					wantSQL = ext.SQL
-				} else if ext.SQL != wantSQL {
-					t.Fatalf("workers=%d cache=%v changed the extracted SQL\nwant: %s\ngot:  %s",
-						workers, !disableCache, wantSQL, ext.SQL)
-				}
-				if ext.Stats.Workers != workers {
-					t.Errorf("Stats.Workers = %d, want %d", ext.Stats.Workers, workers)
-				}
-				if workers > 1 && ext.Stats.ParallelProbes == 0 {
-					t.Errorf("workers=%d: no probes went through the pool", workers)
-				}
+			cfg := defaultCfg()
+			cfg.Workers = workers
+			ext, err := core.Extract(exe, db, cfg)
+			if err != nil {
+				t.Fatalf("workers=%d: %v\nquery: %s", workers, err, sql)
+			}
+			if wantSQL == "" {
+				wantSQL = ext.SQL
+			} else if ext.SQL != wantSQL {
+				t.Fatalf("workers=%d changed the extracted SQL\nwant: %s\ngot:  %s",
+					workers, wantSQL, ext.SQL)
+			}
+			if ext.Stats.Workers != workers {
+				t.Errorf("Stats.Workers = %d, want %d", ext.Stats.Workers, workers)
+			}
+			if workers > 1 && ext.Stats.ParallelProbes == 0 {
+				t.Errorf("workers=%d: no probes went through the pool", workers)
 			}
 		}
 	}
 }
 
-// TestRunCacheReducesInvocations: with the cache on, repeated probes
-// on content-identical instances must be served without running E.
+// TestRunCacheReducesInvocations: repeated probes on
+// content-identical instances are served without running E. The
+// ledger records every probe, so each hit is one probe that did not
+// invoke E: the ledger holds exactly the invocations plus the hits.
 func TestRunCacheReducesInvocations(t *testing.T) {
 	db := warehouseDB(t, 25, 50, 160)
 	for _, sql := range concurrencyQueries {
-		exe := app.MustSQLExecutable("cache", sql)
-
-		uncached := defaultCfg()
-		uncached.DisableRunCache = true
-		extU, err := core.Extract(exe, db, uncached)
+		cfg := defaultCfg()
+		ledger := obs.NewLedger()
+		cfg.Ledger = ledger
+		ext, err := core.Extract(app.MustSQLExecutable("cache", sql), db, cfg)
 		if err != nil {
-			t.Fatalf("uncached: %v\nquery: %s", err, sql)
+			t.Fatalf("%v\nquery: %s", err, sql)
 		}
-		if extU.Stats.CacheHits != 0 || extU.Stats.CacheMisses != 0 {
-			t.Errorf("disabled cache recorded traffic: %+v", extU.Stats)
-		}
-
-		cached := defaultCfg()
-		extC, err := core.Extract(exe, db, cached)
-		if err != nil {
-			t.Fatalf("cached: %v\nquery: %s", err, sql)
-		}
-		if extC.Stats.CacheHits == 0 {
+		st := ext.Stats
+		if st.CacheHits == 0 {
 			t.Errorf("no cache hits during extraction of %s", sql)
 		}
-		if extC.Stats.CacheHitRate() <= 0 {
-			t.Errorf("cache hit rate %v, want > 0", extC.Stats.CacheHitRate())
-		}
-		if extC.Stats.AppInvocations >= extU.Stats.AppInvocations {
-			t.Errorf("cache did not reduce invocations: %d cached vs %d uncached\nquery: %s",
-				extC.Stats.AppInvocations, extU.Stats.AppInvocations, sql)
+		if got, want := int64(ledger.Len()), st.AppInvocations+st.CacheHits; got != want {
+			t.Errorf("%d ledger events, want invocations %d + hits %d = %d\nquery: %s",
+				got, st.AppInvocations, st.CacheHits, want, sql)
 		}
 	}
 }

@@ -80,23 +80,13 @@ type Config struct {
 	// count — parallelism only changes wall-clock time.
 	Workers int
 
-	// DisableRunCache turns off executable-run memoization. With the
-	// cache on (default), completed executions of E are keyed by a
-	// content fingerprint of the probe database, and a probe on a
-	// content-identical instance returns the recorded result without
-	// running E again. Only instances of at most maxMemCacheRows rows
-	// are kept in memory.
-	DisableRunCache bool
-
 	// SharedCache, when set, attaches a durable cross-job probe cache
 	// (typically storage.ProbeCache.Namespace) as a second memoization
 	// tier: completed executions are persisted and consulted before any
 	// application invocation, including the from-clause rename probes,
 	// so a repeat extraction of the same (executable, instance) pair
 	// can finish with zero invocations. Instances above
-	// maxDiskCacheRows rows bypass it. The shared tier requires the
-	// in-session run cache for its single-flight discipline; with
-	// DisableRunCache set it is ignored. The namespace must uniquely
+	// maxDiskCacheRows rows bypass it. The namespace must uniquely
 	// identify the executable — fingerprints cover only database
 	// content, and two applications probed on identical instances
 	// produce different results.
@@ -235,12 +225,6 @@ type Stats struct {
 	// included.
 	ParallelProbes int64
 
-	// CacheEnabled records whether the run-memoization cache was on
-	// for the extraction. When false, CacheHits and CacheMisses are
-	// meaningless and reporting surfaces (Stats.String, -stats output)
-	// omit them entirely rather than printing misleading zeros.
-	CacheEnabled bool
-
 	// CacheHits / CacheMisses count run-memoization outcomes: a hit is
 	// a probe whose database fingerprint matched an earlier completed
 	// execution, skipping E entirely.
@@ -269,9 +253,11 @@ type Stats struct {
 	VectorBatches    int64
 
 	// IndexBuilds, IndexHits, RangeBuilds and RangeHits are always
-	// zero: the engine has no hash or range index. They stay because
-	// the benchmark harness and job records written by earlier daemons
-	// still name them.
+	// zero: the engine has no hash or range index. They stay only
+	// because perfbench/layers.go still reads them for its
+	// sqldb.index_* and sqldb.range_* metrics. Job records need none
+	// of them: the job store decodes with json.Unmarshal, which skips
+	// fields the struct no longer has.
 	IndexBuilds int64
 	IndexHits   int64
 	RangeBuilds int64
@@ -301,22 +287,16 @@ func (s *Stats) Remaining() time.Duration {
 	return s.Total - s.Minimizer() - s.Checker
 }
 
-// String renders a compact one-line profile. The cache section is
-// present only when the run cache was enabled: a disabled cache has
-// no hit/miss counts, and printing zeros would misread as "enabled
-// but cold".
+// String renders a compact one-line profile.
 func (s *Stats) String() string {
-	line := fmt.Sprintf("total=%v minimizer=%v (sampling=%v partitioning=%v) rest=%v checker=%v invocations=%d rows %d->%d workers=%d parallel=%d",
+	line := fmt.Sprintf("total=%v minimizer=%v (sampling=%v partitioning=%v) rest=%v checker=%v invocations=%d rows %d->%d workers=%d parallel=%d cache %d/%d",
 		s.Total.Round(time.Millisecond), s.Minimizer().Round(time.Millisecond),
 		s.Sampling.Round(time.Millisecond), s.Partitioning.Round(time.Millisecond),
 		s.Remaining().Round(time.Millisecond), s.Checker.Round(time.Millisecond),
 		s.AppInvocations, s.RowsInitial, s.RowsFinal,
-		s.Workers, s.ParallelProbes)
-	if s.CacheEnabled {
-		line += fmt.Sprintf(" cache %d/%d", s.CacheHits, s.CacheHits+s.CacheMisses)
-		if s.DiskCacheHits > 0 {
-			line += fmt.Sprintf(" disk=%d", s.DiskCacheHits)
-		}
+		s.Workers, s.ParallelProbes, s.CacheHits, s.CacheHits+s.CacheMisses)
+	if s.DiskCacheHits > 0 {
+		line += fmt.Sprintf(" disk=%d", s.DiskCacheHits)
 	}
 	line += fmt.Sprintf(" engine (join-reuse=%d batches=%d)",
 		s.JoinBuildsReused, s.VectorBatches)

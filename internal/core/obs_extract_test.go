@@ -191,38 +191,30 @@ func TestMetricsMatchStats(t *testing.T) {
 	}
 }
 
-// TestStatsCacheAccounting (satellite of the cache rewrite): with the
-// run cache disabled the profile omits the cache section instead of
-// printing zeros, and the hit-rate is well-defined with no traffic.
+// TestStatsCacheAccounting: the hit rate is well-defined with no
+// traffic, and the profile always carries the run cache's hits over
+// its eligible probes.
 func TestStatsCacheAccounting(t *testing.T) {
 	var zero core.Stats
 	if rate := zero.CacheHitRate(); rate != 0 {
 		t.Errorf("hit rate with no traffic = %v, want 0 (not NaN)", rate)
 	}
+	if !strings.Contains(zero.String(), " cache 0/0 ") {
+		t.Errorf("cache section missing with no traffic: %s", zero.String())
+	}
 
 	db := warehouseDB(t, 25, 50, 160)
-	off := defaultCfg()
-	off.DisableRunCache = true
-	extOff, err := core.Extract(app.MustSQLExecutable("off", concurrencyQueries[0]), db, off)
+	ext, err := core.Extract(app.MustSQLExecutable("on", concurrencyQueries[0]), db, defaultCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if extOff.Stats.CacheEnabled {
-		t.Error("CacheEnabled true with DisableRunCache set")
+	st := ext.Stats
+	want := fmt.Sprintf(" cache %d/%d ", st.CacheHits, st.CacheHits+st.CacheMisses)
+	if st.CacheHits == 0 || !strings.Contains(st.String(), want) {
+		t.Errorf("profile %q lacks %q (hits must be > 0)", st.String(), want)
 	}
-	if strings.Contains(extOff.Stats.String(), "cache") {
-		t.Errorf("disabled cache still reported: %s", extOff.Stats.String())
-	}
-
-	extOn, err := core.Extract(app.MustSQLExecutable("on", concurrencyQueries[0]), db, defaultCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !extOn.Stats.CacheEnabled {
-		t.Error("CacheEnabled false with the cache on")
-	}
-	if !strings.Contains(extOn.Stats.String(), "cache") {
-		t.Errorf("enabled cache not reported: %s", extOn.Stats.String())
+	if strings.Contains(st.String(), "disk=") {
+		t.Errorf("disk hits reported without a shared cache: %s", st.String())
 	}
 }
 

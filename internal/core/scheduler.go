@@ -224,8 +224,8 @@ func (c *runCache) abort(fp sqldb.Fingerprint, e *cacheEntry) {
 	close(e.done)
 }
 
-// runMemoized executes E against db with the general execution
-// deadline, serving content-identical probes from the two-tier cache:
+// run executes E against db with the general execution deadline,
+// serving content-identical probes from the two-tier cache:
 // the in-session single-flight map first, then (when a shared
 // persistent cache is attached) the durable cross-job tier. Large
 // databases bypass each tier independently — above maxMemCacheRows
@@ -242,10 +242,10 @@ func (c *runCache) abort(fp sqldb.Fingerprint, e *cacheEntry) {
 // before. For larger instances served only by the persistent tier the
 // split between "hit" (waited on a flight) and "disk" (re-read the
 // persistent tier) is timing-dependent; the executed count is not.
-func (s *Session) runMemoized(pc *probeCtx, db *sqldb.Database) (*sqldb.Result, error) {
-	if s.cache == nil {
-		return s.runObserved(pc, db, obs.CacheOff, "")
-	}
+//
+// pc attributes the probe to its scheduler slot; sequential sites
+// pass nil.
+func (s *Session) run(pc *probeCtx, db *sqldb.Database) (*sqldb.Result, error) {
 	rows := db.TotalRows()
 	memOK := rows <= maxMemCacheRows
 	diskOK := s.shared != nil && rows <= maxDiskCacheRows

@@ -34,11 +34,10 @@ type Session struct {
 	ctx context.Context
 
 	// cache memoizes completed executions of E by database
-	// fingerprint; nil when Config.DisableRunCache is set.
+	// fingerprint.
 	cache *runCache
 	// shared is the durable cross-job tier (Config.SharedCache); nil
-	// when absent or when the in-session cache is disabled (the shared
-	// tier depends on its single-flight discipline).
+	// when absent.
 	shared ProbeCache
 	// parallelProbes counts probes dispatched through the worker pool.
 	parallelProbes atomic.Int64
@@ -148,14 +147,12 @@ func ExtractContext(ctx context.Context, exe app.Executable, di *sqldb.Database,
 		compOf:     map[sqldb.ColRef]int{},
 		filters:    map[sqldb.ColRef]FilterPredicate{},
 		groupBySet: map[sqldb.ColRef]bool{},
+		cache:      newRunCache(),
+		shared:     cfg.SharedCache,
 		tracer:     cfg.Tracer,
 		ledger:     cfg.Ledger,
 		metrics:    cfg.Metrics,
 		logger:     cfg.Logger,
-	}
-	if !cfg.DisableRunCache {
-		s.cache = newRunCache()
-		s.shared = cfg.SharedCache
 	}
 	// The silo and every probe clone share di's engine counters, so
 	// their deltas cover the whole extraction.
@@ -208,7 +205,7 @@ func ExtractContext(ctx context.Context, exe app.Executable, di *sqldb.Database,
 
 	for _, step := range steps {
 		// Cancellation is honoured at phase granularity here and at
-		// probe granularity inside each phase (probeStep/runMemoized).
+		// probe granularity inside each phase (probeStep/run).
 		if err := ctx.Err(); err != nil {
 			return nil, moduleErr(step.name, err)
 		}
@@ -265,12 +262,9 @@ func ExtractContext(ctx context.Context, exe app.Executable, di *sqldb.Database,
 	s.stats.AppInvocations = s.exe.Invocations()
 	s.stats.Workers = s.cfg.Workers
 	s.stats.ParallelProbes = s.parallelProbes.Load()
-	s.stats.CacheEnabled = s.cache != nil
-	if s.cache != nil {
-		s.stats.CacheHits = s.cache.hits.Load()
-		s.stats.CacheMisses = s.cache.misses.Load()
-		s.stats.DiskCacheHits = s.cache.diskHits.Load()
-	}
+	s.stats.CacheHits = s.cache.hits.Load()
+	s.stats.CacheMisses = s.cache.misses.Load()
+	s.stats.DiskCacheHits = s.cache.diskHits.Load()
 	// Engine counters are deltas over this extraction: di (and its
 	// shared counters) may serve many sequential extractions.
 	engineEnd := di.EngineCounters()
@@ -312,14 +306,6 @@ func (s *Session) endPhase(name string, err error) {
 		return
 	}
 	s.logger.WithPhase(name).Debug("phase done", "ms", ms)
-}
-
-// run executes E against db with the general execution deadline,
-// serving content-identical probes from the memoization cache. pc
-// attributes the probe to its scheduler slot; sequential sites pass
-// nil.
-func (s *Session) run(pc *probeCtx, db *sqldb.Database) (*sqldb.Result, error) {
-	return s.runMemoized(pc, db)
 }
 
 // populated runs E and reports whether the result is populated.

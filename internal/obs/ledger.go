@@ -163,11 +163,9 @@ func cacheRank(c string) int {
 		return 1
 	case CacheBypass:
 		return 2
-	case CacheOff:
-		return 3
 	case CacheNone:
-		return 4
+		return 3
 	default:
-		return 5
+		return 4
 	}
 }

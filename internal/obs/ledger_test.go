@@ -120,7 +120,7 @@ func TestLedgerConcurrentRecord(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			l.Record(ProbeEvent{Phase: "p", PhaseSeq: 1, Kind: KindExec, Cache: CacheOff, Worker: i})
+			l.Record(ProbeEvent{Phase: "p", PhaseSeq: 1, Kind: KindExec, Cache: CacheMiss, Worker: i})
 		}(i)
 	}
 	wg.Wait()

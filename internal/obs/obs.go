@@ -73,8 +73,6 @@ const (
 	// CacheBypass: the instance was too large for every attached
 	// memoization tier, so E ran without fingerprinting.
 	CacheBypass = "bypass"
-	// CacheOff: the run cache is disabled for the session.
-	CacheOff = "off"
 	// CacheNone: the probe path never consults the cache (from-clause
 	// rename probes on the full instance without a shared cache).
 	CacheNone = "none"
@@ -138,11 +136,11 @@ type ProbeEvent struct {
 	// Table is the renamed table of a KindRename probe.
 	Table string `json:"table,omitempty"`
 	// FP is the hex sqldb.Fingerprint of the input database; empty
-	// when the probe bypassed fingerprinting (large instance, cache
-	// off, rename probes without a shared cache).
+	// when the probe bypassed fingerprinting (large instance, rename
+	// probes without a shared cache).
 	FP string `json:"fp,omitempty"`
 	// Cache is the memoization outcome (CacheHit, CacheDisk,
-	// CacheMiss, CacheBypass, CacheOff, CacheNone).
+	// CacheMiss, CacheBypass, CacheNone).
 	Cache string `json:"cache"`
 	// Digest is the hex sqldb result digest and Rows the result row
 	// count; both absent when the invocation returned an error.

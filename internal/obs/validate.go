@@ -13,14 +13,13 @@ type TraceSummary struct {
 	// Spans and Probes count the validated lines of each type.
 	Spans  int
 	Probes int
-	// Hits/Disk/Misses/Bypass/Off/None break the probe events down by
+	// Hits/Disk/Misses/Bypass/None break the probe events down by
 	// cache outcome. Hits + Disk + every executed class (Misses,
-	// Bypass, Off, None) equals Probes.
+	// Bypass, None) equals Probes.
 	Hits   int
 	Disk   int
 	Misses int
 	Bypass int
-	Off    int
 	None   int
 	// ByPhase counts probe events per pipeline phase.
 	ByPhase map[string]int
@@ -33,17 +32,17 @@ type TraceSummary struct {
 // For a complete trace this equals the extraction's
 // Stats.AppInvocations.
 func (s *TraceSummary) Executed() int {
-	return s.Misses + s.Bypass + s.Off + s.None
+	return s.Misses + s.Bypass + s.None
 }
 
 func (s *TraceSummary) String() string {
-	return fmt.Sprintf("spans=%d probes=%d (executed=%d hits=%d disk=%d misses=%d bypass=%d off=%d none=%d) phases=%d",
-		s.Spans, s.Probes, s.Executed(), s.Hits, s.Disk, s.Misses, s.Bypass, s.Off, s.None, len(s.ByPhase))
+	return fmt.Sprintf("spans=%d probes=%d (executed=%d hits=%d disk=%d misses=%d bypass=%d none=%d) phases=%d",
+		s.Spans, s.Probes, s.Executed(), s.Hits, s.Disk, s.Misses, s.Bypass, s.None, len(s.ByPhase))
 }
 
 // validCache enumerates the legal cache outcomes.
 var validCache = map[string]bool{
-	CacheHit: true, CacheDisk: true, CacheMiss: true, CacheBypass: true, CacheOff: true, CacheNone: true,
+	CacheHit: true, CacheDisk: true, CacheMiss: true, CacheBypass: true, CacheNone: true,
 }
 
 // validKind enumerates the legal probe kinds.
@@ -111,8 +110,6 @@ func Validate(r io.Reader) (*TraceSummary, error) {
 				sum.Misses++
 			case CacheBypass:
 				sum.Bypass++
-			case CacheOff:
-				sum.Off++
 			case CacheNone:
 				sum.None++
 			}

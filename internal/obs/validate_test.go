@@ -48,6 +48,7 @@ func TestValidateRejections(t *testing.T) {
 		"probe without phase":  `{"type":"probe","kind":"exec","cache":"miss"}`,
 		"unknown kind":         `{"type":"probe","phase":"p","kind":"guess","cache":"miss"}`,
 		"unknown cache":        `{"type":"probe","phase":"p","kind":"exec","cache":"maybe"}`,
+		"retired cache off":    `{"type":"probe","phase":"p","kind":"exec","cache":"off"}`,
 		"rename without table": `{"type":"probe","phase":"p","kind":"rename","cache":"none"}`,
 		"hit without fp":       `{"type":"probe","phase":"p","kind":"exec","cache":"hit"}`,
 		"odd hex fp":           `{"type":"probe","phase":"p","kind":"exec","cache":"miss","fp":"abc"}`,

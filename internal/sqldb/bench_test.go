@@ -266,9 +266,8 @@ func groupAggShape(b *testing.B) (*sqldb.Database, []*sqldb.SelectStmt) {
 			"from ln group by flag, stat order by flag, stat")}
 }
 
-// orderLimitShape: ORDER BY + LIMIT over heavily tied sort keys — the
-// vector engine's bounded top-K heap against the oracle's full
-// sort-then-truncate.
+// orderLimitShape: ORDER BY + LIMIT over heavily tied sort keys. Both
+// engines sort the whole result, then truncate it to the limit.
 func orderLimitShape(b *testing.B) (*sqldb.Database, []*sqldb.SelectStmt) {
 	const rows = 30000
 	db := sqldb.NewDatabase()

@@ -14,8 +14,8 @@ import "context"
 //   - the post-join tail (residual predicates, aggregation,
 //     projection, ORDER BY, LIMIT) evaluates batch-at-a-time in
 //     finishVector over batches that gather straight from the base
-//     tables, with a top-K heap short-circuiting ordered limited
-//     queries.
+//     tables; ORDER BY sorts the whole result and LIMIT truncates it,
+//     as in the oracle.
 //
 // The tree engine, a per-row walker kept in oracle_test.go, is the
 // differential oracle: every stage here must match it on digests,
@@ -336,15 +336,14 @@ func (ex *execution) finishVector(ctx context.Context, tp *tuples, ticks *int) (
 		return nil, err
 	}
 
-	// 5. Order by (with top-K short-circuit under LIMIT).
+	// 5. Order by: a full sort, even under LIMIT.
 	if len(ex.stmt.OrderBy) > 0 {
 		if err := ex.orderVector(out, tp, sel); err != nil {
 			return nil, err
 		}
 	}
 
-	// 6. Limit. A top-K sort already returned exactly the limit
-	// prefix; this is then a no-op.
+	// 6. Limit: the first rows of the sorted (or unordered) result.
 	if ex.stmt.Limit > 0 && int64(len(out.Rows)) > ex.stmt.Limit {
 		out.Rows = out.Rows[:ex.stmt.Limit]
 	}

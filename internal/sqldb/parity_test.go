@@ -5,7 +5,7 @@ package sqldb_test
 // tree-walking oracle and on Execute (so timeouts behave identically
 // regardless of engine or build-cache state), and ORDER BY
 // tie-breaking must be byte-stable across engines, repeated runs,
-// concurrency, and the top-K short-circuit.
+// concurrency, and LIMIT truncation.
 
 import (
 	"context"
@@ -114,8 +114,8 @@ func tieDB(t *testing.T) *sqldb.Database {
 // TestOrderingDeterministicAcrossModesAndWorkers pins satellite
 // ordering determinism: heavily tied ORDER BY output must be
 // byte-identical across engines, across worker counts (concurrent
-// executions sharing one database's caches), and the top-K LIMIT path
-// must return exactly the full sort's prefix.
+// executions sharing one database's caches), and a LIMIT must return
+// exactly the full sort's prefix.
 func TestOrderingDeterministicAcrossModesAndWorkers(t *testing.T) {
 	db := tieDB(t)
 	queries := []string{
@@ -160,7 +160,7 @@ func TestOrderingDeterministicAcrossModesAndWorkers(t *testing.T) {
 			}
 		}
 
-		// Top-K short-circuit: the LIMIT-k result must equal the full
+		// Sort-then-truncate: the LIMIT-k result must equal the full
 		// sort truncated to k, for both engines, at several k.
 		for _, k := range []int{1, 5, 37, 120, 500} {
 			limited, err := sqlparser.Parse(fmt.Sprintf("%s limit %d", sql, k))

@@ -5,8 +5,7 @@ import (
 	"sort"
 )
 
-// sort_vector.go — vectorized multi-key ordering with a top-K
-// short-circuit.
+// sort_vector.go — vectorized multi-key ordering.
 //
 // orderVector replicates orderResult: order keys matching an output
 // column (by alias or structural equality with a projection) sort on
@@ -16,13 +15,8 @@ import (
 // ignored (treated as ties, as orderResult has always done and the
 // differential harness pins), and full-key ties preserve input order
 // (sort.SliceStable there, an explicit index tie-break here, which
-// are equivalent).
-//
-// When the statement carries a LIMIT smaller than the result, a
-// bounded heap keeps only the limit smallest rows under the sort
-// order. Because the index tie-break makes the order total, the top-K
-// prefix is exactly the prefix a full stable sort would produce, so
-// the subsequent limit truncation in finishVector is a no-op.
+// are equivalent). The result is always sorted in full; a LIMIT is
+// applied afterwards by truncation, as the oracle does.
 
 // sortKey is one compiled ORDER BY key over the result rows: either a
 // gathered output column or a vectorized input expression.
@@ -149,10 +143,6 @@ func (ex *execution) orderVector(res *Result, tp *tuples, sel []int32) error {
 	}
 
 	n := len(res.Rows)
-	if limit := int(ex.stmt.Limit); limit > 0 && limit < n {
-		res.Rows = topK(res.Rows, limit, less)
-		return nil
-	}
 	idxs := make([]int, n)
 	for i := range idxs {
 		idxs[i] = i
@@ -164,63 +154,4 @@ func (ex *execution) orderVector(res *Result, tp *tuples, sel []int32) error {
 	}
 	res.Rows = sorted
 	return nil
-}
-
-// topK returns the first k rows of the full sort order without
-// sorting the rest: a bounded max-heap (ordered by `worse`, the
-// inverse of less) keeps the k best row indexes seen so far, evicting
-// the current worst whenever a better row arrives. less must be a
-// total order (orderVector's index tie-break guarantees it), which
-// makes the result identical to sort-then-truncate.
-func topK(rows []Row, k int, less func(a, b int) bool) []Row {
-	worse := func(a, b int) bool { return less(b, a) }
-	h := make([]int, 0, k)
-	sink := func(i int) {
-		for {
-			l, r := 2*i+1, 2*i+2
-			m := i
-			if l < len(h) && worse(h[l], h[m]) {
-				m = l
-			}
-			if r < len(h) && worse(h[r], h[m]) {
-				m = r
-			}
-			if m == i {
-				return
-			}
-			h[i], h[m] = h[m], h[i]
-			i = m
-		}
-	}
-	swim := func(i int) {
-		for i > 0 {
-			p := (i - 1) / 2
-			if !worse(h[i], h[p]) {
-				return
-			}
-			h[i], h[p] = h[p], h[i]
-			i = p
-		}
-	}
-	for i := range rows {
-		if len(h) < k {
-			h = append(h, i)
-			swim(len(h) - 1)
-			continue
-		}
-		if less(i, h[0]) {
-			h[0] = i
-			sink(0)
-		}
-	}
-	// Pop from worst to best, filling the output back to front.
-	out := make([]Row, len(h))
-	for j := len(out) - 1; j >= 0; j-- {
-		out[j] = rows[h[0]]
-		last := len(h) - 1
-		h[0] = h[last]
-		h = h[:last]
-		sink(0)
-	}
-	return out
 }
