@@ -7,14 +7,16 @@
 # run per workload as a correctness gate, the project's own linter
 # (internal/analysis via cmd/unmasquelint), the full test suite
 # under the race detector (plus ten repeats of the probe cache's
-# concurrency test), the differential engine harness (the vector
-# engine against the test-only tree-walking oracle, plus the golden
-# TPC-H extraction pins), every fuzz target in smoke mode, an
-# end-to-end traced extraction whose JSONL output is schema-validated,
-# the daemon and telemetry end-to-ends, the durable probe-cache
-# end-to-ends (a cold then warm one-shot CLI run on one -cache-dir,
-# and a warm-daemon restart on a cache directory), and a coverage gate
-# on the load-bearing packages. Any failure stops the gate.
+# concurrency test, and five of the from-clause's group-testing test,
+# whose phase runs several dependent fan-outs), the differential
+# engine harness (the vector engine against the test-only
+# tree-walking oracle, plus the golden TPC-H extraction pins), every
+# fuzz target in smoke mode, an end-to-end traced extraction whose
+# JSONL output is schema-validated, the daemon and telemetry
+# end-to-ends, the durable probe-cache end-to-ends (a cold then warm
+# one-shot CLI run on one -cache-dir, and a warm-daemon restart on a
+# cache directory), and a coverage gate on the load-bearing packages.
+# Any failure stops the gate.
 set -eu
 
 cd "$(dirname "$0")"
@@ -74,6 +76,13 @@ go test -race ./...
 # its concurrent Put/Get test under the race detector.
 echo "== probe cache concurrency (-race -count=10)"
 go test -race -count=10 -run '^TestProbeCacheConcurrentPutGet$' ./internal/storage
+
+# The from-clause finds T_E by group testing: each level of its binary
+# splitting is one or two fan-outs over the worker pool, and each
+# depends on the outcomes of the last. Repeat its property test, which
+# runs 1, 2 and 8 workers, under the race detector.
+echo "== from-clause group testing (-race -count=5)"
+go test -race -count=5 -run '^TestFromClauseGroupTesting$' ./internal/core
 
 # Differential engine harness: the tree-walking oracle lives only in
 # internal/sqldb/oracle_test.go. These tests run corpus queries, edge

@@ -18,7 +18,11 @@
 //	        *sqldb.Database may not be called through the Session's
 //	        source field, except RenameTable when the enclosing
 //	        function also performs the restoring rename (>= 2 calls).
-//	        Clones (silo, locals) are free to mutate.
+//	        Deep clones (D_1, probe locals) are free to mutate. The
+//	        silo is not one until the minimizer ends: CloneTables
+//	        shares D_I's Row values, so before then only its row sets
+//	        may change. The rule cannot see that; a test compares
+//	        D_I's fingerprint around whole extractions.
 //	GL003 — fmt.Errorf calls that pass an error argument must wrap it
 //	        with %w so module boundaries stay errors.Is/As-friendly.
 //	GL004 — only internal/sqldb touches sqldb.Table row storage: the

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"unmasque/internal/sqldb"
@@ -10,54 +11,15 @@ import (
 // assemble combines the extracted elements into the canonical Q_E
 // statement (the paper's final pipeline module before checking).
 func (s *Session) assemble() (*Extraction, error) {
-	stmt := &sqldb.SelectStmt{}
-
-	// Projections, preserving the application's output column order
-	// and names.
-	for _, p := range s.projections {
-		item := sqldb.SelectItem{Expr: p.ItemExpr()}
-		natural := naturalName(item.Expr)
-		if !strings.EqualFold(natural, p.OutputName) {
-			item.Alias = strings.ToLower(p.OutputName)
-		}
-		stmt.Items = append(stmt.Items, item)
+	stmt := &sqldb.SelectStmt{
+		Items:   s.selectItems(),
+		From:    append([]string(nil), s.tables...), // database order
+		Where:   sqldb.AndAll(append(s.joinConjuncts(), s.filterConjuncts()...)),
+		GroupBy: s.groupByExprs(),
+		Having:  sqldb.AndAll(s.havingConjuncts()),
+		OrderBy: s.orderKeys(),
+		Limit:   s.limit,
 	}
-
-	// From: the detected tables in database order.
-	stmt.From = append(stmt.From, s.tables...)
-
-	// Where: join predicates then filters, in deterministic order.
-	var conjuncts []sqldb.Expr
-	for _, e := range s.joinEdges {
-		conjuncts = append(conjuncts, sqldb.Bin(sqldb.OpEq,
-			sqldb.Col(e.A.Table, e.A.Column), sqldb.Col(e.B.Table, e.B.Column)))
-	}
-	for _, col := range s.filterOrder {
-		conjuncts = append(conjuncts, s.filters[col].Expr())
-	}
-	stmt.Where = sqldb.AndAll(conjuncts)
-
-	// Group by.
-	for _, g := range s.groupBy {
-		stmt.GroupBy = append(stmt.GroupBy, sqldb.Col(g.Table, g.Column))
-	}
-
-	// Having.
-	var havingConj []sqldb.Expr
-	for _, h := range s.having {
-		havingConj = append(havingConj, h.Expr())
-	}
-	stmt.Having = sqldb.AndAll(havingConj)
-
-	// Order by: reference output columns by their (aliased) names.
-	for _, o := range s.orderBy {
-		stmt.OrderBy = append(stmt.OrderBy, sqldb.OrderKey{
-			Expr: &sqldb.ColumnExpr{Column: strings.ToLower(o.OutputName)},
-			Desc: o.Desc,
-		})
-	}
-	stmt.Limit = s.limit
-
 	if err := s.validateAssembly(stmt); err != nil {
 		return nil, err
 	}
@@ -75,6 +37,114 @@ func (s *Session) assemble() (*Extraction, error) {
 		Limit:          s.limit,
 		UngroupedAgg:   s.ungroupedAgg,
 	}, nil
+}
+
+// selectItems renders the projections as select items, preserving the
+// application's output column order and names.
+func (s *Session) selectItems() []sqldb.SelectItem {
+	var out []sqldb.SelectItem
+	for _, p := range s.projections {
+		item := sqldb.SelectItem{Expr: p.ItemExpr()}
+		if !strings.EqualFold(naturalName(item.Expr), p.OutputName) {
+			item.Alias = strings.ToLower(p.OutputName)
+		}
+		out = append(out, item)
+	}
+	return out
+}
+
+// joinConjuncts renders the join edges as equality predicates.
+func (s *Session) joinConjuncts() []sqldb.Expr {
+	var out []sqldb.Expr
+	for _, e := range s.joinEdges {
+		out = append(out, sqldb.Bin(sqldb.OpEq,
+			sqldb.Col(e.A.Table, e.A.Column), sqldb.Col(e.B.Table, e.B.Column)))
+	}
+	return out
+}
+
+// filterConjuncts renders the filters in extraction order.
+func (s *Session) filterConjuncts() []sqldb.Expr {
+	var out []sqldb.Expr
+	for _, col := range s.filterOrder {
+		out = append(out, s.filters[col].Expr())
+	}
+	return out
+}
+
+func (s *Session) groupByExprs() []sqldb.Expr {
+	var out []sqldb.Expr
+	for _, g := range s.groupBy {
+		out = append(out, sqldb.Col(g.Table, g.Column))
+	}
+	return out
+}
+
+func (s *Session) havingConjuncts() []sqldb.Expr {
+	var out []sqldb.Expr
+	for _, h := range s.having {
+		out = append(out, h.Expr())
+	}
+	return out
+}
+
+// orderKeys references output columns by their (aliased) names.
+func (s *Session) orderKeys() []sqldb.OrderKey {
+	var out []sqldb.OrderKey
+	for _, o := range s.orderBy {
+		out = append(out, sqldb.OrderKey{
+			Expr: &sqldb.ColumnExpr{Column: strings.ToLower(o.OutputName)},
+			Desc: o.Desc,
+		})
+	}
+	return out
+}
+
+// phaseClause renders what a pipeline phase extracted as the SQL
+// fragment it contributes to Q_E — "where customer.c_mktsegment =
+// 'BUILDING'" for the filters — so that a job's trace shows each
+// clause without a debug build. It is "" when the phase found nothing,
+// and ok is false for phases that extract no clause.
+func (s *Session) phaseClause(phase string) (clause string, ok bool) {
+	var parts []string
+	add := func(keyword, body string) {
+		if body != "" {
+			parts = append(parts, keyword+" "+body)
+		}
+	}
+	switch phase {
+	case "from-clause":
+		add("from", strings.Join(s.tables, ", "))
+	case "join-graph":
+		add("where", joinStrings(s.joinConjuncts(), " and "))
+	case "filters", "disjunctions":
+		add("where", joinStrings(s.filterConjuncts(), " and "))
+	case "filters+having":
+		add("where", joinStrings(s.filterConjuncts(), " and "))
+		add("having", joinStrings(s.havingConjuncts(), " and "))
+	case "projection", "aggregation":
+		add("select", joinStrings(s.selectItems(), ", "))
+	case "group-by":
+		add("group by", joinStrings(s.groupByExprs(), ", "))
+	case "order-by":
+		add("order by", joinStrings(s.orderKeys(), ", "))
+	case "limit":
+		if s.limit > 0 {
+			add("limit", strconv.FormatInt(s.limit, 10))
+		}
+	default:
+		return "", false
+	}
+	return strings.Join(parts, " "), true
+}
+
+// joinStrings renders each element and joins them with sep.
+func joinStrings[T fmt.Stringer](xs []T, sep string) string {
+	parts := make([]string, len(xs))
+	for i, x := range xs {
+		parts[i] = x.String()
+	}
+	return strings.Join(parts, sep)
 }
 
 // filterList flattens the filter map in extraction order.

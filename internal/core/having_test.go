@@ -2,10 +2,12 @@ package core_test
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"unmasque/internal/app"
 	"unmasque/internal/core"
+	"unmasque/internal/obs"
 	"unmasque/internal/sqldb"
 )
 
@@ -143,5 +145,42 @@ func TestHavingModeOnPlainQuery(t *testing.T) {
 	}
 	if len(ext.Filters) != 1 || ext.Filters[0].Col.Column != "c_acctbal" {
 		t.Errorf("filters: %v", ext.Filters)
+	}
+}
+
+// TestHavingPhaseSpansCarryClauses: in the Section 7 pipeline too,
+// every phase that extracts a clause carries it on its span, and the
+// unified filter/having phase renders both parts.
+func TestHavingPhaseSpansCarryClauses(t *testing.T) {
+	db := warehouseDB(t, 30, 80, 250)
+	cfg := havingCfg()
+	cfg.Tracer = obs.NewTracer("extract")
+	exe := app.MustSQLExecutable("having-trace", `
+		select o_custkey, sum(o_totalprice) as total
+		from orders where o_shippriority <= 3 group by o_custkey
+		having sum(o_totalprice) >= 400000`)
+	ext, err := core.Extract(exe, db, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clauses := map[string]string{}
+	for _, ev := range ext.Trace {
+		if c, ok := ev.Attrs["clause"]; ok && ev.Parent == ext.Trace[0].ID {
+			clauses[ev.Name] = c
+		}
+	}
+	want := map[string]string{
+		"from-clause":    "from orders",
+		"join-graph":     "",
+		"group-by":       "group by orders.o_custkey",
+		"filters+having": "where orders.o_shippriority <= 3 having sum(orders.o_totalprice) >= 400000",
+		"disjunctions":   "where orders.o_shippriority <= 3",
+		"projection":     "select orders.o_custkey, orders.o_totalprice as total",
+		"aggregation":    "select orders.o_custkey, sum(orders.o_totalprice) as total",
+		"order-by":       "",
+		"limit":          "",
+	}
+	if !reflect.DeepEqual(clauses, want) {
+		t.Fatalf("phase clauses:\n got %v\nwant %v", clauses, want)
 	}
 }

@@ -26,6 +26,10 @@ func (s *Session) minimize() error {
 	if err := s.timed(&s.stats.Partitioning, s.partitionPhase); err != nil {
 		return moduleErr("minimizer/partitioning", err)
 	}
+	// Until here the silo's rows were D_I's own (CloneTables shares
+	// them, and both phases only reshuffle row sets). Every later
+	// phase may write values, so D_1 — a few rows — becomes private.
+	s.silo = s.silo.Clone()
 	s.stats.RowsFinal = s.silo.TotalRows()
 
 	res, err := s.mustResult(nil, s.silo)

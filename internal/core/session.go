@@ -57,10 +57,12 @@ type Session struct {
 	phaseSpan  *obs.Span
 	phaseStart time.Time
 
-	// source is the provided D_I; it is only read (plus temporarily
-	// renamed tables during from-clause probing on the silo clone).
+	// source is the provided D_I; it is only read (from-clause probes
+	// rename tables of their own shared-row clones).
 	source *sqldb.Database
-	// silo is the working database; after minimization it holds D_1.
+	// silo is the working database. Until the minimizer's halving ends
+	// its rows are D_I's own Row values (sqldb.CloneTables), so only
+	// row sets may change; after minimization it is a private D_1.
 	silo *sqldb.Database
 
 	stats Stats
@@ -137,23 +139,7 @@ func ExtractContext(ctx context.Context, exe app.Executable, di *sqldb.Database,
 	if rep, ok := exe.(app.ConcurrencyReporter); ok && !rep.ConcurrentRunSafe() {
 		exe = &app.Serialized{Inner: exe}
 	}
-	s := &Session{
-		cfg:        cfg,
-		ctx:        ctx,
-		exe:        &app.CountingExecutable{Inner: exe},
-		rng:        newRNG(cfg.Seed),
-		source:     di,
-		schemas:    map[string]sqldb.TableSchema{},
-		compOf:     map[sqldb.ColRef]int{},
-		filters:    map[sqldb.ColRef]FilterPredicate{},
-		groupBySet: map[sqldb.ColRef]bool{},
-		cache:      newRunCache(),
-		shared:     cfg.SharedCache,
-		tracer:     cfg.Tracer,
-		ledger:     cfg.Ledger,
-		metrics:    cfg.Metrics,
-		logger:     cfg.Logger,
-	}
+	s := newSession(ctx, exe, di, cfg)
 	// The silo and every probe clone share di's engine counters, so
 	// their deltas cover the whole extraction.
 	engineStart := di.EngineCounters()
@@ -215,6 +201,11 @@ func ExtractContext(ctx context.Context, exe app.Executable, di *sqldb.Database,
 			err = s.timed(step.slot, step.fn)
 		} else {
 			err = step.fn()
+		}
+		if err == nil && s.tracer != nil {
+			if clause, ok := s.phaseClause(step.name); ok {
+				span.SetAttr("clause", clause)
+			}
 		}
 		span.EndErr(err)
 		s.endPhase(step.name, err)
@@ -283,6 +274,28 @@ func ExtractContext(ctx context.Context, exe app.Executable, di *sqldb.Database,
 	return ext, nil
 }
 
+// newSession builds the state of one extraction of exe on di before
+// any phase runs.
+func newSession(ctx context.Context, exe app.Executable, di *sqldb.Database, cfg Config) *Session {
+	return &Session{
+		cfg:        cfg,
+		ctx:        ctx,
+		exe:        &app.CountingExecutable{Inner: exe},
+		rng:        newRNG(cfg.Seed),
+		source:     di,
+		schemas:    map[string]sqldb.TableSchema{},
+		compOf:     map[sqldb.ColRef]int{},
+		filters:    map[sqldb.ColRef]FilterPredicate{},
+		groupBySet: map[sqldb.ColRef]bool{},
+		cache:      newRunCache(),
+		shared:     cfg.SharedCache,
+		tracer:     cfg.Tracer,
+		ledger:     cfg.Ledger,
+		metrics:    cfg.Metrics,
+		logger:     cfg.Logger,
+	}
+}
+
 // beginPhase opens the trace span of the next pipeline phase and
 // points probe-event attribution at it. Phases run strictly
 // sequentially on the main goroutine, so phase state needs no
@@ -332,11 +345,6 @@ func (s *Session) mustResult(pc *probeCtx, db *sqldb.Database) (*sqldb.Result, e
 		return nil, err
 	}
 	return res, nil
-}
-
-// d1Table fetches a table of the minimized working database.
-func (s *Session) d1Table(name string) (*sqldb.Table, error) {
-	return s.silo.Table(name)
 }
 
 // d1Value reads the single-row value of a column in D_1.

@@ -58,7 +58,8 @@ const (
 	// (everything except from-clause table probing).
 	KindExec = "exec"
 	// KindRename is a from-clause rename probe: E runs against the
-	// full instance with one table renamed, under the probe timeout.
+	// full instance with a set of tables renamed, under the probe
+	// timeout.
 	KindRename = "rename"
 )
 
@@ -133,7 +134,9 @@ type ProbeEvent struct {
 	PhaseSeq int    `json:"phase_seq"`
 	// Kind is KindExec or KindRename.
 	Kind string `json:"kind"`
-	// Table is the renamed table of a KindRename probe.
+	// Table names the tables a KindRename probe renamed, joined by
+	// commas in schema order: the from-clause probes sets of tables
+	// (group testing), so one event may name one table or all of them.
 	Table string `json:"table,omitempty"`
 	// FP is the hex sqldb.Fingerprint of the input database; empty
 	// when the probe bypassed fingerprinting (large instance, rename

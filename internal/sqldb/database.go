@@ -185,16 +185,21 @@ func (db *Database) CloneSchema() *Database {
 
 // CloneTables copies the schema of every table but the rows of only
 // the named subset; other tables stay empty. The extractor uses this
-// to carve the relevant part of D_I into the silo cheaply.
+// to carve the relevant part of D_I into the silo cheaply: each listed
+// table gets a fresh row slice over the receiver's own Row values, so
+// row-set operations on the clone (SetRows, Sample, KeepRange,
+// DeleteRow, Truncate) leave the receiver intact, while value writes
+// (Set, SetAll, NegateColumn) would write through to it. Take a Clone
+// before changing values.
 func (db *Database) CloneTables(withRows map[string]bool) *Database {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	out := db.newLike()
 	for _, n := range db.order {
-		if withRows[n] {
-			out.tables[n] = db.tables[n].Clone()
+		if t := db.tables[n]; withRows[n] {
+			out.tables[n] = &Table{Schema: t.Schema.Clone(), Rows: CopyRows(t.Rows)}
 		} else {
-			out.tables[n] = NewTable(db.tables[n].Schema)
+			out.tables[n] = NewTable(t.Schema)
 		}
 		out.order = append(out.order, n)
 	}

@@ -1,6 +1,8 @@
 package sqldb
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -183,6 +185,54 @@ func TestDatabaseCloneVariants(t *testing.T) {
 	tbl, _ = part.Table("customer")
 	if tbl.RowCount() != 0 {
 		t.Error("CloneTables copied unrequested rows")
+	}
+}
+
+// TestCloneTablesRowSetOpsLeaveSource: a CloneTables clone shares the
+// source's Row values, so the row-set operations the minimizer runs on
+// the silo must leave the source's rows, and their order, unchanged.
+func TestCloneTablesRowSetOpsLeaveSource(t *testing.T) {
+	db := NewDatabase()
+	for _, s := range warehouseSchemas() {
+		if err := db.CreateTable(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src, _ := db.Table("orders")
+	for i := 0; i < 16; i++ {
+		src.MustInsert(NewInt(int64(i)), NewInt(int64(i%3)))
+	}
+	var want []Row
+	for _, r := range src.Rows {
+		want = append(want, r.Clone())
+	}
+	for _, c := range []struct {
+		name string
+		op   func(*Table) error
+	}{
+		{"SetRows", func(tbl *Table) error {
+			rows := tbl.SnapshotRows()
+			tbl.SetRows(append(CopyRows(rows[8:]), rows[:8]...))
+			return nil
+		}},
+		{"Sample", func(tbl *Table) error {
+			tbl.Sample(0.3, rand.New(rand.NewSource(1)))
+			return nil
+		}},
+		{"KeepRange", func(tbl *Table) error { return tbl.KeepRange(3, 9) }},
+		{"DeleteRow", func(tbl *Table) error { return tbl.DeleteRow(0) }},
+	} {
+		clone := db.CloneTables(map[string]bool{"orders": true})
+		tbl, _ := clone.Table("orders")
+		if err := c.op(tbl); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if reflect.DeepEqual(tbl.Rows, want) {
+			t.Fatalf("%s: the clone's rows did not change", c.name)
+		}
+		if !reflect.DeepEqual(src.Rows, want) {
+			t.Fatalf("%s on a CloneTables clone changed the source's rows", c.name)
+		}
 	}
 }
 
