@@ -173,9 +173,12 @@ go run ./cmd/unmasque -validate-trace "$e2e_dir/trace.jsonl"
 
 # Telemetry end-to-end against the same daemon: (a) the Prometheus
 # exposition of /metrics must parse under the strict text-format
-# validator and carry the job counters, (b) a live SSE subscription
-# opened on a just-submitted job must replay+stream frames that pass
-# the stream validator and end at a terminal lifecycle state.
+# validator and carry the job counters, (b) the registry's probe
+# counters must equal the ledger of the one job that has run so far
+# (the registry is a view of the jobs' ledgers), (c) a live SSE
+# subscription opened on a just-submitted job must replay+stream
+# frames that pass the stream validator and end at a terminal
+# lifecycle state.
 echo "== telemetry end-to-end (prom scrape + live SSE)"
 curl -sf "http://$addr/metrics?format=prom" > "$e2e_dir/metrics.prom"
 go run ./cmd/unmasque -validate-prom "$e2e_dir/metrics.prom"
@@ -184,6 +187,15 @@ grep -q '^unmasque_jobs_done' "$e2e_dir/metrics.prom" || {
     cat "$e2e_dir/metrics.prom" >&2
     exit 1
 }
+prom_probes=$(awk '$1 == "unmasque_probes_total" { print $2 }' "$e2e_dir/metrics.prom")
+prom_invocations=$(awk '$1 == "unmasque_app_invocations" { print $2 }' "$e2e_dir/metrics.prom")
+if [ "$prom_probes" != "$(jq .ledger_events "$e2e_dir/result.json")" ] ||
+    [ "$prom_invocations" != "$(jq .app_invocations "$e2e_dir/result.json")" ]; then
+    echo "telemetry e2e: registry disagrees with the job's ledger" >&2
+    printf 'probes_total=%s app_invocations=%s\n' "$prom_probes" "$prom_invocations" >&2
+    cat "$e2e_dir/result.json" >&2
+    exit 1
+fi
 sse_id=$(curl -sf -X POST "http://$addr/jobs" -d '{"app":"enki/posts_by_tag"}' | jq -r .id)
 # The stream closes itself when the job reaches a terminal state;
 # --max-time only guards against a hung stream.

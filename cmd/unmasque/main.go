@@ -55,16 +55,18 @@ type obsFlags struct {
 }
 
 // attach wires the requested observability hooks into the pipeline
-// config.
+// config. The metrics registry is a view of the trace: -metrics
+// records one too and folds each probe event into the registry as it
+// lands.
 func (o *obsFlags) attach(cfg *core.Config) {
-	if o.tracePath != "" || o.chromePath != "" {
+	if o.tracePath != "" || o.chromePath != "" || o.metrics {
 		cfg.Tracer = obs.NewTracer("extract")
 		o.ledger = obs.NewLedger()
 		cfg.Ledger = o.ledger
 	}
 	if o.metrics {
 		o.registry = obs.NewMetrics()
-		cfg.Metrics = o.registry
+		o.ledger.SetSink(o.registry.RecordProbe)
 		// Scrapeable at /debug/vars when -debug-addr is set.
 		o.registry.Publish("unmasque")
 	}
@@ -74,45 +76,47 @@ func (o *obsFlags) attach(cfg *core.Config) {
 // extractions too — a trace of a failed run (open spans, the probes up
 // to the fault) is exactly what debugging needs — so ext may be nil.
 func (o *obsFlags) finish(appName string, cfg core.Config, ext *core.Extraction) error {
-	if o.tracePath != "" || o.chromePath != "" {
-		spans := cfg.Tracer.Events() // ext==nil: tree up to the failure
-		if ext != nil {
-			spans = ext.Trace
+	header := obs.RunHeader{App: appName, Workers: cfg.Workers, Seed: cfg.Seed}
+	var spans []obs.SpanEvent
+	if ext != nil {
+		spans, header.Workers = ext.Trace, ext.Stats.Workers
+	} else {
+		spans = cfg.Tracer.Events() // the tree up to the failure
+	}
+	if o.tracePath != "" {
+		f, err := os.Create(o.tracePath)
+		if err != nil {
+			return err
 		}
-		header := obs.RunHeader{App: appName, Workers: cfg.Workers, Seed: cfg.Seed}
-		if ext != nil {
-			header.Workers = ext.Stats.Workers
+		if err := obs.WriteTrace(f, header, spans, o.ledger); err != nil {
+			f.Close()
+			return err
 		}
-		if o.tracePath != "" {
-			f, err := os.Create(o.tracePath)
-			if err != nil {
-				return err
-			}
-			if err := obs.WriteTrace(f, header, spans, o.ledger); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Printf("-- trace: %d spans, %d probe events -> %s\n", len(spans), o.ledger.Len(), o.tracePath)
+		if err := f.Close(); err != nil {
+			return err
 		}
-		if o.chromePath != "" {
-			f, err := os.Create(o.chromePath)
-			if err != nil {
-				return err
-			}
-			if err := telemetry.WriteCatapult(f, header, spans, o.ledger.Events()); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Printf("-- chrome trace -> %s (open in about://tracing or ui.perfetto.dev)\n", o.chromePath)
+		fmt.Printf("-- trace: %d spans, %d probe events -> %s\n", len(spans), o.ledger.Len(), o.tracePath)
+	}
+	if o.chromePath != "" {
+		f, err := os.Create(o.chromePath)
+		if err != nil {
+			return err
 		}
+		if err := telemetry.WriteCatapult(f, header, spans, o.ledger.Events()); err != nil {
+			f.Close()
+			return err
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+		fmt.Printf("-- chrome trace -> %s (open in about://tracing or ui.perfetto.dev)\n", o.chromePath)
 	}
 	if o.metrics {
+		o.registry.RecordPhases(spans)
+		if ext != nil {
+			o.registry.Counter("engine_join_builds_reused").Add(ext.Stats.JoinBuildsReused)
+			o.registry.Counter("engine_vector_batches").Add(ext.Stats.VectorBatches)
+		}
 		fmt.Printf("-- metrics: %s\n", o.registry.String())
 	}
 	return nil

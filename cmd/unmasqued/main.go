@@ -63,7 +63,6 @@ func main() {
 
 func run(opt options) error {
 	metrics := obs.NewMetrics()
-	metrics.Publish("unmasqued")
 	var logger *obs.Logger
 	if opt.logLevel != "off" && opt.logLevel != "none" {
 		level, err := obs.ParseLevel(opt.logLevel)

@@ -2,10 +2,13 @@ package bench
 
 // E16: full-pipeline overhead of the telemetry stack. Three TPC-H
 // extractions run twice — once with every observability hook off,
-// once with tracer, ledger, metrics, logger AND live stream sinks
-// attached — and the row records the relative cost in process CPU
-// time (wall clock off unix). The acceptance bar for the production
-// deployment is <5% overhead with byte-identical extracted SQL.
+// once with tracer, ledger AND live stream sinks attached and a
+// metrics registry folded from them as the daemon folds it (the span
+// sink streams, the ledger sink streams and records each probe, the
+// phases and engine counters land at the end) — and the row records
+// the relative cost in process CPU time (wall clock off unix). The
+// acceptance bar for the production deployment is <5% overhead with
+// byte-identical extracted SQL.
 
 import (
 	"fmt"
@@ -24,7 +27,7 @@ import (
 type ObsRow struct {
 	Query        string  `json:"query"`
 	OffMS        float64 `json:"off_ms"`       // CPU ms, telemetry fully off
-	OnMS         float64 `json:"on_ms"`        // CPU ms, tracer+ledger+metrics+logger+sinks
+	OnMS         float64 `json:"on_ms"`        // CPU ms, tracer+ledger+sinks+metrics
 	OverheadPct  float64 `json:"overhead_pct"` // (on-off)/off * 100
 	Probes       int64   `json:"probes"`       // ledger events in the instrumented run
 	SQLIdentical bool    `json:"sql_identical"`
@@ -63,15 +66,15 @@ func Obs(w io.Writer, opt Options) ([]ObsRow, error) {
 		cfg := core.DefaultConfig()
 		cfg.Seed = opt.Seed
 		var ledger *obs.Ledger
+		var metrics *obs.Metrics
 		if instrument {
 			cfg.Tracer = obs.NewTracer("extract")
 			ledger = obs.NewLedger()
 			cfg.Ledger = ledger
-			cfg.Metrics = obs.NewMetrics()
-			cfg.Logger = obs.NewLogger(io.Discard, obs.LevelDebug)
+			metrics = obs.NewMetrics()
 			// Live sinks too: the production daemon always streams.
 			cfg.Tracer.SetSink(func(obs.SpanEvent) {})
-			ledger.SetSink(func(obs.ProbeEvent) {})
+			ledger.SetSink(metrics.RecordProbe)
 		}
 		// Equalize allocator state before the timed region: without
 		// this, whichever variant runs second inherits the other's heap
@@ -80,6 +83,11 @@ func Obs(w io.Writer, opt Options) ([]ObsRow, error) {
 		cpu0, haveCPU := procCPU()
 		start := time.Now()
 		ext, err := core.Extract(exe, db, cfg)
+		if err == nil && instrument {
+			metrics.RecordPhases(ext.Trace)
+			metrics.Counter("engine_join_builds_reused").Add(ext.Stats.JoinBuildsReused)
+			metrics.Counter("engine_vector_batches").Add(ext.Stats.VectorBatches)
+		}
 		took := time.Since(start)
 		if haveCPU {
 			if cpu1, ok := procCPU(); ok {
@@ -98,7 +106,7 @@ func Obs(w io.Writer, opt Options) ([]ObsRow, error) {
 
 	var rows []ObsRow
 	tbl := &TextTable{
-		Title:  "Telemetry overhead (tracer+ledger+metrics+logger+stream sinks vs. all off)",
+		Title:  "Telemetry overhead (tracer+ledger+stream sinks+metrics vs. all off)",
 		Header: []string{"query", "off_ms", "on_ms", "overhead_%", "probes", "sql_identical"},
 	}
 	for _, name := range names {

@@ -76,7 +76,7 @@ func (s *Session) runAggProbe(pr aggProbe, oi int) (sqldb.Value, error) {
 	if err != nil {
 		return sqldb.Value{}, err
 	}
-	res, err := s.mustResult(nil, db)
+	res, err := s.run(nil, db)
 	if err != nil {
 		return sqldb.Value{}, err
 	}
@@ -586,7 +586,7 @@ func (s *Session) runAggProbeJoin(vcol sqldb.ColRef, comp *joinComponent, k int,
 	if err != nil {
 		return sqldb.Value{}, err
 	}
-	res, err := s.mustResult(nil, db)
+	res, err := s.run(nil, db)
 	if err != nil {
 		return sqldb.Value{}, err
 	}

@@ -95,26 +95,17 @@ type Config struct {
 	// Tracer, when set, receives the extraction's span tree: one span
 	// per pipeline phase and one per scheduled probe. The finished
 	// tree is also flattened onto Extraction.Trace. Nil disables
-	// tracing at zero cost.
+	// tracing at zero cost. A caller keeping a metrics registry derives
+	// its phase_ms histograms from the export (obs.Metrics.RecordPhases).
 	Tracer *obs.Tracer
 
 	// Ledger, when set, records one obs.ProbeEvent per executable
 	// invocation or memoization-cache hit. Its canonical JSONL
 	// serialization is byte-identical across worker counts once
-	// volatile fields are stripped (obs.StripVolatile).
+	// volatile fields are stripped (obs.StripVolatile). A caller keeping
+	// a metrics registry folds every event into it from a ledger sink
+	// (obs.Metrics.RecordProbe); core writes no other probe record.
 	Ledger *obs.Ledger
-
-	// Metrics, when set, receives probe/cache counters and latency
-	// histograms; publishable through expvar (obs.Metrics.Publish).
-	// Per-phase wall time lands in phase_ms.<phase> histograms and the
-	// engine counter deltas are bridged into engine_* counters at the
-	// end of the extraction.
-	Metrics *obs.Metrics
-
-	// Logger, when set, receives structured pipeline lifecycle records
-	// (phase completions with durations, extraction failures). Nil
-	// disables logging at zero cost; all record sites are nil-safe.
-	Logger *obs.Logger
 
 	// Clock supplies the pipeline's wall-clock readings (phase timing,
 	// probe latencies). Nil selects time.Now. Injectable so the
@@ -195,7 +186,6 @@ func (c *Config) validate() error {
 // counts — the breakdown reported in Figures 9-11 of the paper.
 type Stats struct {
 	Total        time.Duration
-	SiloSetup    time.Duration
 	FromClause   time.Duration
 	Sampling     time.Duration
 	Partitioning time.Duration
@@ -238,11 +228,10 @@ type Stats struct {
 	// daemon's zero-invocation extractions are visible as such.
 	DiskCacheHits int64
 
-	// MinimizerRows traces the database size before and after
-	// minimization.
-	RowsInitial       int
-	RowsAfterSampling int
-	RowsFinal         int
+	// RowsInitial and RowsFinal trace the database size before and
+	// after minimization.
+	RowsInitial int
+	RowsFinal   int
 
 	// Engine counters for this extraction (deltas of the silo's shared
 	// sqldb.EngineStats between start and end — the provided database

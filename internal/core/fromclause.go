@@ -110,21 +110,19 @@ func (s *Session) extractFromClause() error {
 	// enforce them, matching the paper's dropped-RI silo). The rows
 	// are D_I's own: the minimizer only reshuffles row sets before it
 	// replaces the silo with a private copy of D_1.
-	return s.timed(&s.stats.SiloSetup, func() error {
-		relevant := map[string]bool{}
-		for _, t := range s.tables {
-			relevant[t] = true
+	relevant := map[string]bool{}
+	for _, t := range s.tables {
+		relevant[t] = true
+	}
+	s.silo = s.source.CloneTables(relevant)
+	for _, t := range s.tables {
+		tbl, err := s.silo.Table(t)
+		if err != nil {
+			return err
 		}
-		s.silo = s.source.CloneTables(relevant)
-		for _, t := range s.tables {
-			tbl, err := s.silo.Table(t)
-			if err != nil {
-				return err
-			}
-			s.schemas[t] = tbl.Schema.Clone()
-		}
-		return nil
-	})
+		s.schemas[t] = tbl.Schema.Clone()
+	}
+	return nil
 }
 
 // tableRange is the half-open range [lo, hi) of the source's
@@ -154,21 +152,18 @@ func (s *Session) renameProbes(names []string, ranges []tableRange) ([]renameOut
 	out := make([]renameOutcome, len(ranges))
 	err := s.parallelFor(len(ranges), func(pc *probeCtx, i int) error {
 		r := ranges[i]
-		probe := s.source.CloneShared()
+		db := s.source.CloneShared()
 		for t := r.lo; t < r.hi; t++ {
-			if err := probe.RenameTable(names[t], "unmasque_probe_tmp_"+strconv.Itoa(t)); err != nil {
+			if err := db.RenameTable(names[t], "unmasque_probe_tmp_"+strconv.Itoa(t)); err != nil {
 				return err
 			}
 		}
 		label := strings.Join(names[r.lo:r.hi], ",")
 		// Short probe deadline: a missing-table fault is immediate,
 		// while an unaffected application would otherwise run to
-		// completion on the full instance. Rename probes never consult
-		// the in-session run cache (no two probes of one extraction
-		// hide the same set), so they record their ledger event here;
-		// a missing-table fault or timeout IS the observation, not an
-		// incident.
-		_, err := s.runRenameProbe(pc, probe, label)
+		// completion on the full instance. A missing-table fault or
+		// timeout IS the observation, not an incident.
+		_, err := s.probe(pc, db, obs.ProbeEvent{Kind: obs.KindRename, Table: label}, s.cfg.ProbeTimeout)
 		switch {
 		case errors.Is(err, sqldb.ErrNoSuchTable):
 			out[i] = renameFaulted
@@ -182,38 +177,4 @@ func (s *Session) renameProbes(names []string, ranges []tableRange) ([]renameOut
 		return nil
 	})
 	return out, err
-}
-
-// runRenameProbe executes one from-clause rename probe, serving it
-// from the durable cross-job cache when one is attached: a warm daemon
-// has already paid for these exact probes, so a repeat extraction
-// invokes E zero times. Timeouts are never persisted (they describe
-// the environment, not (E, D)); a deterministic outcome — the
-// missing-table fault, or the completed result — is. label names the
-// hidden tables in the probe's ledger event.
-func (s *Session) runRenameProbe(pc *probeCtx, probe *sqldb.Database, label string) (*sqldb.Result, error) {
-	diskOK := s.shared != nil && probe.TotalRows() <= maxDiskCacheRows
-	if !diskOK {
-		start := s.cfg.Clock()
-		res, err := app.RunCtx(s.ctx, s.exe, probe, s.cfg.ProbeTimeout)
-		s.observe(pc, obs.ProbeEvent{Kind: obs.KindRename, Table: label, Cache: obs.CacheNone},
-			res, err, s.cfg.Clock().Sub(start))
-		return res, err
-	}
-	fp := probe.Fingerprint()
-	start := s.cfg.Clock()
-	if res, err, ok := s.shared.Get(fp); ok {
-		s.cache.diskHits.Add(1)
-		s.observe(pc, obs.ProbeEvent{Kind: obs.KindRename, Table: label, FP: fp.Hex(), Cache: obs.CacheDisk},
-			res, err, s.cfg.Clock().Sub(start))
-		return res, err
-	}
-	s.cache.misses.Add(1)
-	res, err := app.RunCtx(s.ctx, s.exe, probe, s.cfg.ProbeTimeout)
-	s.observe(pc, obs.ProbeEvent{Kind: obs.KindRename, Table: label, FP: fp.Hex(), Cache: obs.CacheMiss},
-		res, err, s.cfg.Clock().Sub(start))
-	if !errors.Is(err, app.ErrTimeout) && !isCtxErr(err) {
-		s.shared.Put(fp, res, err)
-	}
-	return res, err
 }

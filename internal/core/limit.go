@@ -209,7 +209,7 @@ func (s *Session) limitProbe(n int) (int, int, error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	res, err := s.mustResult(nil, db)
+	res, err := s.run(nil, db)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -22,7 +22,6 @@ func (s *Session) minimize() error {
 			return moduleErr("minimizer/sampling", err)
 		}
 	}
-	s.stats.RowsAfterSampling = s.silo.TotalRows()
 	if err := s.timed(&s.stats.Partitioning, s.partitionPhase); err != nil {
 		return moduleErr("minimizer/partitioning", err)
 	}
@@ -32,7 +31,7 @@ func (s *Session) minimize() error {
 	s.silo = s.silo.Clone()
 	s.stats.RowsFinal = s.silo.TotalRows()
 
-	res, err := s.mustResult(nil, s.silo)
+	res, err := s.run(nil, s.silo)
 	if err != nil {
 		return moduleErr("minimizer", err)
 	}

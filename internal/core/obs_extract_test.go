@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -30,7 +31,6 @@ func tracedExtract(t *testing.T, sql string, workers int) (*core.Extraction, *ob
 	cfg.Workers = workers
 	cfg.Tracer = obs.NewTracer("extract")
 	cfg.Ledger = obs.NewLedger()
-	cfg.Metrics = obs.NewMetrics()
 	exe := app.MustSQLExecutable("golden", sql)
 	ext, err := core.Extract(exe, db, cfg)
 	if err != nil {
@@ -102,6 +102,68 @@ func firstDiff(a, b []byte) string {
 	return fmt.Sprintf("line counts differ (%d vs %d)", len(la), len(lb))
 }
 
+// TestProbeSpansNumberedPerPhase: probe spans are numbered across all
+// fan-outs of their phase, so sibling probe spans carry the distinct
+// seqs 0..n-1, a probe event's index names the probe span it ran in,
+// and the numbering does not depend on the worker count. The
+// from-clause runs one fan-out per group-testing step and every one
+// of its probes in a fan-out, so its events and spans pair up exactly.
+func TestProbeSpansNumberedPerPhase(t *testing.T) {
+	var first []byte
+	for _, workers := range []int{1, 2, 8} {
+		ext, ledger, trace := tracedExtract(t, concurrencyQueries[1], workers)
+		phaseOf := map[int]string{}
+		for _, sp := range ext.Trace {
+			if sp.Parent == ext.Trace[0].ID {
+				phaseOf[sp.ID] = sp.Name
+			}
+		}
+		seqs := map[string][]int{}
+		for _, sp := range ext.Trace {
+			if sp.Name == "probe" {
+				phase := phaseOf[sp.Parent]
+				seqs[phase] = append(seqs[phase], sp.Seq)
+			}
+		}
+		if n := len(seqs["from-clause"]); n < 2 {
+			t.Fatalf("workers=%d: from-clause has %d probe spans, want two fan-outs or more", workers, n)
+		}
+		for phase, ss := range seqs {
+			sort.Ints(ss)
+			for i, seq := range ss {
+				if seq != i {
+					t.Errorf("workers=%d: %s probe span seqs %v, want 0..%d", workers, phase, ss, len(ss)-1)
+					break
+				}
+			}
+		}
+		var renames []int
+		for _, ev := range ledger.Events() {
+			if n := len(seqs[ev.Phase]); ev.Probe >= n && !(n == 0 && ev.Probe == 0) {
+				t.Errorf("workers=%d: %s event has probe index %d, phase has %d probe spans",
+					workers, ev.Phase, ev.Probe, n)
+			}
+			if ev.Phase == "from-clause" {
+				renames = append(renames, ev.Probe)
+			}
+		}
+		sort.Ints(renames)
+		if fmt.Sprint(renames) != fmt.Sprint(seqs["from-clause"]) {
+			t.Errorf("workers=%d: from-clause event indices %v, probe span seqs %v",
+				workers, renames, seqs["from-clause"])
+		}
+		stripped, err := obs.StripVolatile(trace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = stripped
+		} else if !bytes.Equal(first, stripped) {
+			t.Fatalf("workers=%d: stripped trace differs from 1 worker:\n%s", workers, firstDiff(first, stripped))
+		}
+	}
+}
+
 // TestLedgerCountInvariant: the ledger records exactly one event per
 // executable invocation plus one per cache hit, and the trace
 // validates against the schema with matching tallies.
@@ -168,17 +230,21 @@ func TestExtractionTrace(t *testing.T) {
 	}
 }
 
-// TestMetricsMatchStats: the metrics registry's counters agree with
-// the extraction's Stats.
+// TestMetricsMatchStats: a registry folded from the ledger through its
+// sink agrees with the extraction's Stats.
 func TestMetricsMatchStats(t *testing.T) {
 	db := warehouseDB(t, 25, 50, 160)
 	cfg := defaultCfg()
-	cfg.Metrics = obs.NewMetrics()
+	cfg.Ledger = obs.NewLedger()
+	m := obs.NewMetrics()
+	cfg.Ledger.SetSink(m.RecordProbe)
 	ext, err := core.Extract(app.MustSQLExecutable("m", concurrencyQueries[0]), db, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := cfg.Metrics
+	if got := m.Counter("probes_total").Value(); got != int64(cfg.Ledger.Len()) {
+		t.Errorf("probes_total metric %d, ledger %d", got, cfg.Ledger.Len())
+	}
 	if got := m.Counter("app_invocations").Value(); got != ext.Stats.AppInvocations {
 		t.Errorf("app_invocations metric %d, stats %d", got, ext.Stats.AppInvocations)
 	}
@@ -218,61 +284,41 @@ func TestStatsCacheAccounting(t *testing.T) {
 	}
 }
 
-// TestPhaseHistogramsAndEngineBridge (telemetry PR): every pipeline
-// phase lands exactly one observation in its phase_ms.<name>
-// histogram, the engine counter deltas are bridged into engine_*
-// counters at session end, and the structured logger carries phase
-// correlation attrs on its records.
+// TestPhaseHistogramsAndEngineBridge: folding the span export of an
+// extraction lands exactly one observation per pipeline phase in its
+// phase_ms.<name> histogram, and Stats carries the engine counters a
+// registry keeper bridges into engine_* (the service does; its test
+// checks the bridge).
 func TestPhaseHistogramsAndEngineBridge(t *testing.T) {
 	db := warehouseDB(t, 25, 50, 160)
 	cfg := defaultCfg()
-	cfg.Metrics = obs.NewMetrics()
-	var logBuf bytes.Buffer
-	cfg.Logger = obs.NewLogger(&logBuf, obs.LevelDebug)
+	cfg.Tracer = obs.NewTracer("extract")
 	ext, err := core.Extract(app.MustSQLExecutable("ph", concurrencyQueries[0]), db, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, phase := range []string{
+	m := obs.NewMetrics()
+	m.RecordPhases(ext.Trace)
+	phases := []string{
 		"from-clause", "minimizer", "join-graph", "filters", "disjunctions",
 		"projection", "group-by", "aggregation", "order-by", "limit",
 		"assemble", "checker", "eqc-verify",
-	} {
-		if got := cfg.Metrics.Histogram("phase_ms." + phase).Count(); got != 1 {
+	}
+	for _, phase := range phases {
+		if got := m.Histogram("phase_ms." + phase).Count(); got != 1 {
 			t.Errorf("phase_ms.%s has %d observations, want 1", phase, got)
 		}
 	}
-	m := cfg.Metrics
-	if got := m.Counter("engine_join_builds_reused").Value(); got != ext.Stats.JoinBuildsReused {
-		t.Errorf("engine_join_builds_reused metric %d, stats %d", got, ext.Stats.JoinBuildsReused)
-	}
-	if got := m.Counter("engine_vector_batches").Value(); got != ext.Stats.VectorBatches {
-		t.Errorf("engine_vector_batches metric %d, stats %d", got, ext.Stats.VectorBatches)
+	if got := len(m.Export().Histograms); got != len(phases) {
+		t.Errorf("%d phase histograms, want %d", got, len(phases))
 	}
 	if ext.Stats.VectorBatches == 0 {
 		t.Error("vector engine reported zero batches — bridge has nothing to measure")
 	}
-
-	var phaseDone, complete int
-	for _, line := range strings.Split(strings.TrimSpace(logBuf.String()), "\n") {
-		if strings.Contains(line, `"msg":"phase done"`) {
-			phaseDone++
-			if !strings.Contains(line, `"phase":`) {
-				t.Errorf("phase record without phase attr: %s", line)
-			}
-		}
-		if strings.Contains(line, `"msg":"extraction complete"`) {
-			complete++
-		}
-	}
-	if phaseDone != 13 || complete != 1 {
-		t.Errorf("log records: %d phase-done (want 13), %d complete (want 1)\n%s",
-			phaseDone, complete, logBuf.String())
-	}
 }
 
-// TestPhaseInstrumentationNilSafe: an extraction with no metrics and
-// no logger still succeeds (all record sites are nil-safe).
+// TestPhaseInstrumentationNilSafe: an extraction with no tracer and no
+// ledger still succeeds (all record sites are nil-safe).
 func TestPhaseInstrumentationNilSafe(t *testing.T) {
 	db := warehouseDB(t, 25, 50, 160)
 	if _, err := core.Extract(app.MustSQLExecutable("nil", concurrencyQueries[0]), db, defaultCfg()); err != nil {

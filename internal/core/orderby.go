@@ -111,11 +111,11 @@ func (s *Session) orderProbe(candidate int, inS1 map[int]bool) (desc, isKey bool
 	if err != nil {
 		return false, false, err
 	}
-	resSame, err := s.mustResult(nil, same)
+	resSame, err := s.run(nil, same)
 	if err != nil {
 		return false, false, err
 	}
-	resRev, err := s.mustResult(nil, rev)
+	resRev, err := s.run(nil, rev)
 	if err != nil {
 		return false, false, err
 	}

@@ -61,7 +61,7 @@ func (s *Session) extractProjections() error {
 				return err
 			}
 		}
-		baseRes, err := s.mustResult(nil, base)
+		baseRes, err := s.run(nil, base)
 		if err != nil {
 			return err
 		}
@@ -87,7 +87,7 @@ func (s *Session) extractProjections() error {
 			if !changed {
 				return nil // pinned unit: cannot influence detection
 			}
-			res, err := s.mustResult(pc, mut)
+			res, err := s.run(pc, mut)
 			if err != nil {
 				return err
 			}
@@ -261,7 +261,7 @@ func (s *Session) identifyIdentity(p Projection, oi int, u mutationUnit) (Projec
 		if !changed {
 			break
 		}
-		res, err := s.mustResult(nil, db)
+		res, err := s.run(nil, db)
 		if err != nil {
 			return p, err
 		}
@@ -296,7 +296,7 @@ func (s *Session) identifyDateAffine(p Projection, oi int, u mutationUnit) (Proj
 			}
 			break
 		}
-		res, err := s.mustResult(nil, db)
+		res, err := s.run(nil, db)
 		if err != nil {
 			return p, err
 		}
@@ -364,7 +364,7 @@ func (s *Session) identifyMultilinear(p Projection, oi int, depUnits []mutationU
 				}
 			}
 		}
-		res, err := s.mustResult(pc, db)
+		res, err := s.run(pc, db)
 		if err != nil {
 			return err
 		}

@@ -13,8 +13,8 @@ import (
 )
 
 // This file implements the probe scheduler, the executable-run
-// memoization cache, and the observation funnel that feeds the
-// obs.Ledger / obs.Metrics hooks.
+// memoization cache, and the one probe path every run of E takes,
+// which records each probe once, on the obs.Ledger.
 //
 // Scheduler: pipeline modules whose probes are mutually independent —
 // from-clause rename probes (one per table range of a group-testing
@@ -47,28 +47,14 @@ import (
 // stripped detail).
 
 // probeCtx identifies one scheduled probe while it executes: which
-// pool worker is running it, its fan-out index, and its span in the
-// trace tree. Sequential probe sites (the minimizer's dependent
-// halvings, binary-search steps, baseline runs) pass a nil probeCtx,
-// which reads as worker 0 / index 0 / no span.
+// pool worker is running it, its index among the phase's fan-out
+// probes, and its span in the trace tree. Sequential probe sites (the
+// minimizer's dependent halvings, binary-search steps, baseline runs)
+// pass a nil probeCtx, which reads as worker 0 / index 0 / no span.
 type probeCtx struct {
 	worker int // 0 = main goroutine, 1..W = pool worker
-	index  int // fan-out index within the phase
+	index  int // probe index within the phase, across its fan-outs
 	span   *obs.Span
-}
-
-func (pc *probeCtx) workerID() int {
-	if pc == nil {
-		return 0
-	}
-	return pc.worker
-}
-
-func (pc *probeCtx) probeIndex() int {
-	if pc == nil {
-		return 0
-	}
-	return pc.index
 }
 
 // parallelFor runs fn(0..n-1) over the session's worker pool and
@@ -76,18 +62,26 @@ func (pc *probeCtx) probeIndex() int {
 // sequential loop would have surfaced first, keeping failure modes
 // deterministic). With one worker — or a single item — it degenerates
 // to the plain sequential loop. Each iteration receives a probeCtx
-// carrying its worker id, its index and a per-probe trace span.
+// carrying its worker id, its probe index and a per-probe trace span.
+//
+// Probe indices continue across the fan-outs of one phase: fan-out
+// item i gets the phase's next free index plus i, so sibling probe
+// spans never share a seq and each equals the probe index of its
+// ledger events. parallelFor is only called from the main goroutine
+// between fan-outs, so the per-phase counter needs no lock.
 func (s *Session) parallelFor(n int, fn func(pc *probeCtx, i int) error) error {
 	if n <= 0 {
 		return nil
 	}
+	base := s.phaseProbes
+	s.phaseProbes += n
 	workers := s.cfg.Workers
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			if err := s.probeStep(0, i, fn); err != nil {
+			if err := s.probeStep(0, base, i, fn); err != nil {
 				return err
 			}
 		}
@@ -107,7 +101,7 @@ func (s *Session) parallelFor(n int, fn func(pc *probeCtx, i int) error) error {
 				if i >= n {
 					return
 				}
-				errs[i] = s.probeStep(worker, i, fn)
+				errs[i] = s.probeStep(worker, base, i, fn)
 			}
 		}()
 	}
@@ -120,8 +114,8 @@ func (s *Session) parallelFor(n int, fn func(pc *probeCtx, i int) error) error {
 	return nil
 }
 
-// probeStep wraps one fan-out iteration in its probe span. The span's
-// sibling index is the fan-out index, not arrival order, so the
+// probeStep wraps fan-out iteration i in its probe span. The span's
+// sibling index is the probe index base+i, not arrival order, so the
 // exported tree is deterministic for every worker count.
 //
 // Cancellation is observed here, between probes: a worker about to
@@ -132,11 +126,11 @@ func (s *Session) parallelFor(n int, fn func(pc *probeCtx, i int) error) error {
 // error exactly as a sequential loop would have: probes already
 // completed keep their outcomes, the first unstarted index carries
 // the cancellation.
-func (s *Session) probeStep(worker, i int, fn func(pc *probeCtx, i int) error) error {
+func (s *Session) probeStep(worker, base, i int, fn func(pc *probeCtx, i int) error) error {
 	if err := s.ctx.Err(); err != nil {
 		return err
 	}
-	pc := &probeCtx{worker: worker, index: i, span: s.phaseSpan.Child("probe", i)}
+	pc := &probeCtx{worker: worker, index: base + i, span: s.phaseSpan.Child("probe", base+i)}
 	err := fn(pc, i)
 	pc.span.EndErr(err)
 	return err
@@ -179,6 +173,9 @@ type cacheEntry struct {
 	ok   bool
 	res  *sqldb.Result
 	err  error
+	// joined records that a probe other than the leader reserved the
+	// flight; guarded by runCache.mu.
+	joined bool
 }
 
 func newRunCache() *runCache {
@@ -193,6 +190,7 @@ func (c *runCache) reserve(fp sqldb.Fingerprint) (*cacheEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.entries[fp]; ok {
+		e.joined = true
 		return e, false
 	}
 	e := &cacheEntry{done: make(chan struct{})}
@@ -205,14 +203,20 @@ func (c *runCache) reserve(fp sqldb.Fingerprint) (*cacheEntry, bool) {
 // already holding the entry still read its outcome, but the result is
 // not kept resident — instances above maxMemCacheRows are only memoized
 // in the persistent tier (disk, not RAM), and a later probe on the
-// same fingerprint re-reserves and reads the disk tier instead.
+// same fingerprint re-reserves and reads the disk tier instead. The
+// leader's caller owns res, so the flight keeps a copy, unless no
+// other probe can read it: a withdrawn flight nobody joined.
 func (c *runCache) complete(fp sqldb.Fingerprint, e *cacheEntry, res *sqldb.Result, err error, retain bool) {
-	e.res, e.err, e.ok = res, err, true
+	c.mu.Lock()
 	if !retain {
-		c.mu.Lock()
 		delete(c.entries, fp)
-		c.mu.Unlock()
 	}
+	read := retain || e.joined
+	c.mu.Unlock()
+	if read {
+		e.res = res.Clone()
+	}
+	e.err, e.ok = err, true
 	close(e.done)
 }
 
@@ -225,35 +229,48 @@ func (c *runCache) abort(fp sqldb.Fingerprint, e *cacheEntry) {
 	close(e.done)
 }
 
-// run executes E against db with the general execution deadline,
-// serving content-identical probes from the two-tier cache:
-// the in-session single-flight map first, then (when a shared
-// persistent cache is attached) the durable cross-job tier. Large
-// databases bypass each tier independently — above maxMemCacheRows
-// results are not retained in RAM, above maxDiskCacheRows the
-// persistent tier is not consulted either (hashing would rival
-// execution cost). Every path records exactly one ledger event: one
-// per completed E invocation, one per in-memory hit, one per
-// persistent-tier hit — which is what makes the ledger's event count
-// equal Stats.AppInvocations + Stats.CacheHits + Stats.DiskCacheHits.
+// run executes E against db under the general execution deadline.
+func (s *Session) run(pc *probeCtx, db *sqldb.Database) (*sqldb.Result, error) {
+	return s.probe(pc, db, obs.ProbeEvent{Kind: obs.KindExec}, execTimeout)
+}
+
+// probe is the one path every run of E takes: it executes E against db
+// under timeout (and the session context), serving content-identical
+// probes from the two-tier cache: the in-session single-flight map
+// first, then (when a shared persistent cache is attached) the durable
+// cross-job tier. ev carries the probe's identity (kind, and the
+// renamed tables of a KindRename probe); probe fills in the rest.
+//
+// Large databases bypass each tier independently — above
+// maxMemCacheRows results are not retained in RAM, above
+// maxDiskCacheRows the persistent tier is not consulted either
+// (hashing would rival execution cost). Rename probes never enter the
+// in-session tier: no two probes of one extraction hide the same
+// tables, so retaining their results would only keep clones alive.
+// Every path records exactly one ledger event: one per completed E
+// invocation, one per in-memory hit, one per persistent-tier hit —
+// which is what makes the ledger's event count equal
+// Stats.AppInvocations + Stats.CacheHits + Stats.DiskCacheHits.
 //
 // Determinism note: for instances within maxMemCacheRows the flight is
 // retained, so the outcome multiset per fingerprint (one miss-or-disk
-// plus k hits) is identical for every worker count, exactly as
-// before. For larger instances served only by the persistent tier the
-// split between "hit" (waited on a flight) and "disk" (re-read the
-// persistent tier) is timing-dependent; the executed count is not.
+// plus k hits) is identical for every worker count. For larger
+// instances served only by the persistent tier the split between "hit"
+// (waited on a flight) and "disk" (re-read the persistent tier) is
+// timing-dependent; the executed count is not.
 //
 // pc attributes the probe to its scheduler slot; sequential sites
 // pass nil.
-func (s *Session) run(pc *probeCtx, db *sqldb.Database) (*sqldb.Result, error) {
+func (s *Session) probe(pc *probeCtx, db *sqldb.Database, ev obs.ProbeEvent, timeout time.Duration) (*sqldb.Result, error) {
 	rows := db.TotalRows()
-	memOK := rows <= maxMemCacheRows
+	memOK := ev.Kind == obs.KindExec && rows <= maxMemCacheRows
 	diskOK := s.shared != nil && rows <= maxDiskCacheRows
 	if !memOK && !diskOK {
-		return s.runObserved(pc, db, obs.CacheBypass, "")
+		ev.Cache = obs.CacheBypass
+		return s.execute(pc, db, ev, timeout)
 	}
 	fp := db.Fingerprint()
+	ev.FP = fp.Hex()
 	for {
 		e, leader := s.cache.reserve(fp)
 		if !leader {
@@ -263,22 +280,23 @@ func (s *Session) run(pc *probeCtx, db *sqldb.Database) (*sqldb.Result, error) {
 				continue // flight aborted (timeout); retry as leader
 			}
 			s.cache.hits.Add(1)
-			s.observe(pc, obs.ProbeEvent{Kind: obs.KindExec, FP: fp.Hex(), Cache: obs.CacheHit},
-				e.res, e.err, s.cfg.Clock().Sub(start))
+			ev.Cache = obs.CacheHit
+			s.observe(pc, ev, e.res, e.err, s.cfg.Clock().Sub(start))
 			return e.res.Clone(), e.err
 		}
 		if diskOK {
 			start := s.cfg.Clock()
 			if res, err, ok := s.shared.Get(fp); ok {
 				s.cache.diskHits.Add(1)
-				s.observe(pc, obs.ProbeEvent{Kind: obs.KindExec, FP: fp.Hex(), Cache: obs.CacheDisk},
-					res, err, s.cfg.Clock().Sub(start))
-				s.cache.complete(fp, e, res.Clone(), err, memOK)
+				ev.Cache = obs.CacheDisk
+				s.observe(pc, ev, res, err, s.cfg.Clock().Sub(start))
+				s.cache.complete(fp, e, res, err, memOK)
 				return res, err
 			}
 		}
 		s.cache.misses.Add(1)
-		res, err := s.runObserved(pc, db, obs.CacheMiss, fp.Hex())
+		ev.Cache = obs.CacheMiss
+		res, err := s.execute(pc, db, ev, timeout)
 		if errors.Is(err, app.ErrTimeout) || isCtxErr(err) {
 			// Neither outcome describes the database content: a timeout
 			// may succeed on retry, a cancelled run belongs to a dying
@@ -289,17 +307,17 @@ func (s *Session) run(pc *probeCtx, db *sqldb.Database) (*sqldb.Result, error) {
 		if diskOK {
 			s.shared.Put(fp, res, err)
 		}
-		s.cache.complete(fp, e, res.Clone(), err, memOK)
+		s.cache.complete(fp, e, res, err, memOK)
 		return res, err
 	}
 }
 
-// runObserved executes E once under the general deadline (and the
-// session context) and records the invocation.
-func (s *Session) runObserved(pc *probeCtx, db *sqldb.Database, cache, fp string) (*sqldb.Result, error) {
+// execute runs E once under timeout (and the session context) and
+// records the invocation.
+func (s *Session) execute(pc *probeCtx, db *sqldb.Database, ev obs.ProbeEvent, timeout time.Duration) (*sqldb.Result, error) {
 	start := s.cfg.Clock()
-	res, err := app.RunCtx(s.ctx, s.exe, db, execTimeout)
-	s.observe(pc, obs.ProbeEvent{Kind: obs.KindExec, FP: fp, Cache: cache}, res, err, s.cfg.Clock().Sub(start))
+	res, err := app.RunCtx(s.ctx, s.exe, db, timeout)
+	s.observe(pc, ev, res, err, s.cfg.Clock().Sub(start))
 	return res, err
 }
 
@@ -311,12 +329,12 @@ func isCtxErr(err error) bool {
 }
 
 // observe fills the outcome, attribution and timing fields of one
-// probe event and hands it to the session's ledger and metrics. The
-// caller provides the probe identity (kind, table, fingerprint, cache
+// probe event and records it on the session's ledger. The caller
+// provides the probe identity (kind, table, fingerprint, cache
 // outcome); phase attribution comes from the session's current phase,
 // which only changes between fan-outs.
 func (s *Session) observe(pc *probeCtx, ev obs.ProbeEvent, res *sqldb.Result, err error, dur time.Duration) {
-	if s.ledger == nil && s.metrics == nil {
+	if s.ledger == nil {
 		return
 	}
 	ev.Phase = s.phaseName
@@ -327,19 +345,9 @@ func (s *Session) observe(pc *probeCtx, ev obs.ProbeEvent, res *sqldb.Result, er
 		ev.Digest = res.Digest().Hex()
 		ev.Rows = res.RowCount()
 	}
-	ev.Worker = pc.workerID()
-	ev.Probe = pc.probeIndex()
+	if pc != nil {
+		ev.Worker, ev.Probe = pc.worker, pc.index
+	}
 	ev.DurUS = dur.Microseconds()
 	s.ledger.Record(ev)
-
-	s.metrics.Counter("probes_total").Add(1)
-	s.metrics.Counter("cache_" + ev.Cache).Add(1)
-	s.metrics.Counter("phase_probes." + ev.Phase).Add(1)
-	if ev.Cache != obs.CacheHit && ev.Cache != obs.CacheDisk {
-		s.metrics.Counter("app_invocations").Add(1)
-		s.metrics.Histogram("probe_latency_ms").Observe(float64(dur.Microseconds()) / 1e3)
-	}
-	if err != nil {
-		s.metrics.Counter("probe_errors").Add(1)
-	}
 }

@@ -111,6 +111,37 @@ func TestRunCacheSingleFlight(t *testing.T) {
 	}
 }
 
+// TestRunCacheCopiesOnlyWhatOthersRead: the leader's caller owns the
+// result it completes a flight with. A retained flight, or a withdrawn
+// one another probe joined, keeps its own copy; a withdrawn flight
+// nobody joined keeps none.
+func TestRunCacheCopiesOnlyWhatOthersRead(t *testing.T) {
+	for _, tc := range []struct {
+		name               string
+		retain, join, kept bool
+	}{
+		{"retained", true, false, true},
+		{"withdrawn and joined", false, true, true},
+		{"withdrawn alone", false, false, false},
+	} {
+		c := newRunCache()
+		var fp sqldb.Fingerprint
+		e, _ := c.reserve(fp)
+		if tc.join {
+			c.reserve(fp)
+		}
+		res := &sqldb.Result{Columns: []string{"x"}, Rows: []sqldb.Row{{sqldb.NewInt(7)}}}
+		c.complete(fp, e, res, nil, tc.retain)
+		res.Rows[0][0] = sqldb.NewInt(99) // the caller's own result
+		switch {
+		case !tc.kept && e.res != nil:
+			t.Errorf("%s: the flight keeps a copy nobody reads", tc.name)
+		case tc.kept && (e.res == nil || e.res.Rows[0][0].I != 7):
+			t.Errorf("%s: the flight does not hold its own copy", tc.name)
+		}
+	}
+}
+
 func TestRunCacheAbortReleasesWaiters(t *testing.T) {
 	c := newRunCache()
 	var fp sqldb.Fingerprint

@@ -42,20 +42,18 @@ type Session struct {
 	// parallelProbes counts probes dispatched through the worker pool.
 	parallelProbes atomic.Int64
 
-	// Observability hooks (Config.Tracer/Ledger/Metrics; all may be
-	// nil — the record sites are nil-safe). phaseName/phaseSeq/
-	// phaseSpan identify the pipeline phase currently executing; they
-	// are written only by the main goroutine between fan-outs, so pool
-	// workers read them race-free (happens-before via goroutine
-	// creation).
-	tracer     *obs.Tracer
-	ledger     *obs.Ledger
-	metrics    *obs.Metrics
-	logger     *obs.Logger
-	phaseName  string
-	phaseSeq   int
-	phaseSpan  *obs.Span
-	phaseStart time.Time
+	// Observability hooks (Config.Tracer/Ledger; both may be nil — the
+	// record sites are nil-safe). phaseName/phaseSeq/phaseSpan identify
+	// the pipeline phase currently executing and phaseProbes numbers
+	// its fan-out probes; they are written only by the main goroutine
+	// between fan-outs, so pool workers read them race-free
+	// (happens-before via goroutine creation).
+	tracer      *obs.Tracer
+	ledger      *obs.Ledger
+	phaseName   string
+	phaseSeq    int
+	phaseSpan   *obs.Span
+	phaseProbes int
 
 	// source is the provided D_I; it is only read (from-clause probes
 	// rename tables of their own shared-row clones).
@@ -146,90 +144,47 @@ func ExtractContext(ctx context.Context, exe app.Executable, di *sqldb.Database,
 	start := s.cfg.Clock()
 	s.stats.RowsInitial = di.TotalRows()
 
-	steps := []struct {
-		name string
-		slot *time.Duration
-		fn   func() error
-	}{
+	var ext *Extraction
+	steps := []step{
 		{"from-clause", &s.stats.FromClause, s.extractFromClause},
 		{"minimizer", nil, s.minimize}, // times itself (two phases)
 		{"join-graph", &s.stats.JoinGraph, s.extractJoinGraph},
 	}
 	if cfg.ExtractHaving {
+		// Section 7 pipeline: group-by immediately after joins, then
+		// unified filter/having extraction.
 		steps = append(steps,
-			// Section 7 pipeline: group-by immediately after joins,
-			// then unified filter/having extraction.
-			[]struct {
-				name string
-				slot *time.Duration
-				fn   func() error
-			}{
-				{"group-by", &s.stats.GroupBy, s.extractGroupBy},
-				{"filters+having", &s.stats.Having, s.extractFiltersAndHaving},
-				{"disjunctions", &s.stats.Filters, s.refineDisjunctions},
-				{"projection", &s.stats.Projection, s.extractProjections},
-				{"aggregation", &s.stats.Aggregation, s.extractAggregations},
-				{"order-by", &s.stats.OrderBy, s.extractOrderBy},
-				{"limit", &s.stats.Limit, s.extractLimit},
-			}...)
+			step{"group-by", &s.stats.GroupBy, s.extractGroupBy},
+			step{"filters+having", &s.stats.Having, s.extractFiltersAndHaving},
+			step{"disjunctions", &s.stats.Filters, s.refineDisjunctions},
+			step{"projection", &s.stats.Projection, s.extractProjections},
+			step{"aggregation", &s.stats.Aggregation, s.extractAggregations},
+		)
 	} else {
 		steps = append(steps,
-			[]struct {
-				name string
-				slot *time.Duration
-				fn   func() error
-			}{
-				{"filters", &s.stats.Filters, s.extractFilters},
-				{"disjunctions", &s.stats.Filters, s.refineDisjunctions},
-				{"projection", &s.stats.Projection, s.extractProjections},
-				{"group-by", &s.stats.GroupBy, s.extractGroupBy},
-				{"aggregation", &s.stats.Aggregation, s.extractAggregations},
-				{"order-by", &s.stats.OrderBy, s.extractOrderBy},
-				{"limit", &s.stats.Limit, s.extractLimit},
-			}...)
+			step{"filters", &s.stats.Filters, s.extractFilters},
+			step{"disjunctions", &s.stats.Filters, s.refineDisjunctions},
+			step{"projection", &s.stats.Projection, s.extractProjections},
+			step{"group-by", &s.stats.GroupBy, s.extractGroupBy},
+			step{"aggregation", &s.stats.Aggregation, s.extractAggregations},
+		)
 	}
-
-	for _, step := range steps {
-		// Cancellation is honoured at phase granularity here and at
-		// probe granularity inside each phase (probeStep/run).
-		if err := ctx.Err(); err != nil {
-			return nil, moduleErr(step.name, err)
-		}
-		span := s.beginPhase(step.name)
-		var err error
-		if step.slot != nil {
-			err = s.timed(step.slot, step.fn)
-		} else {
-			err = step.fn()
-		}
-		if err == nil && s.tracer != nil {
-			if clause, ok := s.phaseClause(step.name); ok {
-				span.SetAttr("clause", clause)
-			}
-		}
-		span.EndErr(err)
-		s.endPhase(step.name, err)
-		if err != nil {
-			return nil, moduleErr(step.name, err)
-		}
-	}
-
-	span := s.beginPhase("assemble")
-	ext, err := s.assemble()
-	span.EndErr(err)
-	s.endPhase("assemble", err)
-	if err != nil {
-		return nil, moduleErr("assembler", err)
-	}
+	steps = append(steps,
+		step{"order-by", &s.stats.OrderBy, s.extractOrderBy},
+		step{"limit", &s.stats.Limit, s.extractLimit},
+		step{"assemble", nil, func() (err error) {
+			ext, err = s.assemble()
+			return err
+		}},
+	)
 	if !cfg.SkipChecker {
-		span := s.beginPhase("checker")
-		err := s.timed(&s.stats.Checker, func() error { return s.check(ext) })
-		span.EndErr(err)
-		s.endPhase("checker", err)
-		if err != nil {
-			return nil, moduleErr("checker", err)
-		}
-		ext.CheckerVerified = true
+		steps = append(steps, step{"checker", &s.stats.Checker, func() error {
+			if err := s.check(ext); err != nil {
+				return err
+			}
+			ext.CheckerVerified = true
+			return nil
+		}})
 	}
 	if cfg.VerifyEQC {
 		// Static class membership is orthogonal to the checker's
@@ -237,16 +192,34 @@ func ExtractContext(ctx context.Context, exe app.Executable, di *sqldb.Database,
 		// guard proves Q_E has the *shape* the paper's identifiability
 		// argument covers. Disjunctive single-column predicates are
 		// in-class exactly when the Section 9 extension extracted them.
-		span := s.beginPhase("eqc-verify")
-		err := s.timed(&s.stats.Checker, func() error {
+		steps = append(steps, step{"eqc-verify", &s.stats.Checker, func() error {
 			diags := eqcverify.Verify(ext.Query, s.source.Schemas(),
 				eqcverify.Options{AllowDisjunction: cfg.ExtractDisjunction})
 			return eqcverify.Error(diags)
-		})
+		}})
+	}
+
+	for _, st := range steps {
+		// Cancellation is honoured at phase granularity here and at
+		// probe granularity inside each phase (probeStep/run).
+		if err := ctx.Err(); err != nil {
+			return nil, moduleErr(st.name, err)
+		}
+		span := s.beginPhase(st.name)
+		var err error
+		if st.slot != nil {
+			err = s.timed(st.slot, st.fn)
+		} else {
+			err = st.fn()
+		}
+		if err == nil && s.tracer != nil {
+			if clause, ok := s.phaseClause(st.name); ok {
+				span.SetAttr("clause", clause)
+			}
+		}
 		span.EndErr(err)
-		s.endPhase("eqc-verify", err)
 		if err != nil {
-			return nil, moduleErr("eqc-verify", err)
+			return nil, moduleErr(st.name, err)
 		}
 	}
 	s.stats.Total = s.cfg.Clock().Sub(start)
@@ -261,17 +234,20 @@ func ExtractContext(ctx context.Context, exe app.Executable, di *sqldb.Database,
 	engineEnd := di.EngineCounters()
 	s.stats.JoinBuildsReused = engineEnd.JoinReuses - engineStart.JoinReuses
 	s.stats.VectorBatches = engineEnd.VectorBatches - engineStart.VectorBatches
-	// Bridge the engine deltas into the metrics registry so a scrape of
-	// a long-lived process accumulates them across extractions.
-	s.metrics.Counter("engine_join_builds_reused").Add(s.stats.JoinBuildsReused)
-	s.metrics.Counter("engine_vector_batches").Add(s.stats.VectorBatches)
 	ext.Stats = s.stats
 	s.tracer.Root().End()
 	ext.Trace = s.tracer.Events()
-	s.logger.Info("extraction complete",
-		"total_ms", float64(s.stats.Total)/float64(time.Millisecond),
-		"invocations", s.stats.AppInvocations)
 	return ext, nil
+}
+
+// step is one pipeline phase: its name labels both its trace span and
+// the module of any error it returns, slot is the Stats timer its wall
+// time adds to (nil when the phase times itself or is not timed), and
+// fn runs it.
+type step struct {
+	name string
+	slot *time.Duration
+	fn   func() error
 }
 
 // newSession builds the state of one extraction of exe on di before
@@ -291,34 +267,19 @@ func newSession(ctx context.Context, exe app.Executable, di *sqldb.Database, cfg
 		shared:     cfg.SharedCache,
 		tracer:     cfg.Tracer,
 		ledger:     cfg.Ledger,
-		metrics:    cfg.Metrics,
-		logger:     cfg.Logger,
 	}
 }
 
-// beginPhase opens the trace span of the next pipeline phase and
-// points probe-event attribution at it. Phases run strictly
-// sequentially on the main goroutine, so phase state needs no
-// synchronization with the fan-outs it brackets.
+// beginPhase opens the trace span of the next pipeline phase, points
+// probe-event attribution at it and restarts its probe numbering.
+// Phases run strictly sequentially on the main goroutine, so phase
+// state needs no synchronization with the fan-outs it brackets.
 func (s *Session) beginPhase(name string) *obs.Span {
 	s.phaseSeq++
 	s.phaseName = name
+	s.phaseProbes = 0
 	s.phaseSpan = s.tracer.Root().Child(name, obs.SeqAuto)
-	s.phaseStart = s.cfg.Clock()
 	return s.phaseSpan
-}
-
-// endPhase records the completed phase's wall time into the
-// phase_ms.<name> histogram and emits a structured debug record. It
-// pairs with beginPhase; both run on the main goroutine only.
-func (s *Session) endPhase(name string, err error) {
-	ms := float64(s.cfg.Clock().Sub(s.phaseStart)) / float64(time.Millisecond)
-	s.metrics.Histogram("phase_ms." + name).Observe(ms)
-	if err != nil {
-		s.logger.WithPhase(name).Warn("phase failed", "ms", ms, "err", err.Error())
-		return
-	}
-	s.logger.WithPhase(name).Debug("phase done", "ms", ms)
 }
 
 // populated runs E and reports whether the result is populated.
@@ -336,15 +297,6 @@ func (s *Session) populated(pc *probeCtx, db *sqldb.Database) (bool, error) {
 		return false, nil
 	}
 	return res.Populated(), nil
-}
-
-// mustResult runs E and requires a usable result.
-func (s *Session) mustResult(pc *probeCtx, db *sqldb.Database) (*sqldb.Result, error) {
-	res, err := s.run(pc, db)
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
 }
 
 // d1Value reads the single-row value of a column in D_1.

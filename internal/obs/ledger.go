@@ -163,9 +163,7 @@ func cacheRank(c string) int {
 		return 1
 	case CacheBypass:
 		return 2
-	case CacheNone:
-		return 3
 	default:
-		return 4
+		return 3
 	}
 }

@@ -14,10 +14,10 @@ func TestLedgerCanonicalOrder(t *testing.T) {
 	l := NewLedger()
 	// Arrival order deliberately scrambled relative to canonical.
 	l.Record(ProbeEvent{Phase: "filters", PhaseSeq: 4, Kind: KindExec, FP: "ab", Cache: CacheHit, Worker: 2})
-	l.Record(ProbeEvent{Phase: "from-clause", PhaseSeq: 1, Kind: KindRename, Table: "orders", Cache: CacheNone})
+	l.Record(ProbeEvent{Phase: "from-clause", PhaseSeq: 1, Kind: KindRename, Table: "orders", Cache: CacheBypass})
 	l.Record(ProbeEvent{Phase: "filters", PhaseSeq: 4, Kind: KindExec, FP: "ab", Cache: CacheMiss, Worker: 1})
 	l.Record(ProbeEvent{Phase: "filters", PhaseSeq: 4, Kind: KindExec, FP: "aa", Cache: CacheMiss})
-	l.Record(ProbeEvent{Phase: "from-clause", PhaseSeq: 1, Kind: KindRename, Table: "nation", Cache: CacheNone})
+	l.Record(ProbeEvent{Phase: "from-clause", PhaseSeq: 1, Kind: KindRename, Table: "nation", Cache: CacheBypass})
 
 	evs := l.Events()
 	if l.Len() != 5 || len(evs) != 5 {
@@ -28,8 +28,8 @@ func TestLedgerCanonicalOrder(t *testing.T) {
 		got[i] = e.Phase + "/" + e.Table + e.FP + "/" + e.Cache
 	}
 	want := []string{
-		"from-clause/nation/none",
-		"from-clause/orders/none",
+		"from-clause/nation/bypass",
+		"from-clause/orders/bypass",
 		"filters/aa/miss",
 		"filters/ab/miss", // miss before hit within one fingerprint
 		"filters/ab/hit",
@@ -159,7 +159,7 @@ func TestWriteTraceValidates(t *testing.T) {
 	tr.Root().End()
 
 	l := NewLedger()
-	l.Record(ProbeEvent{Phase: "from-clause", PhaseSeq: 1, Kind: KindRename, Table: "t", Cache: CacheNone, Err: "no such table"})
+	l.Record(ProbeEvent{Phase: "from-clause", PhaseSeq: 1, Kind: KindRename, Table: "t", Cache: CacheBypass, Err: "no such table"})
 	l.Record(ProbeEvent{Phase: "filters", PhaseSeq: 2, Kind: KindExec, FP: "ab", Cache: CacheMiss, Digest: "cd", Rows: 2})
 	l.Record(ProbeEvent{Phase: "filters", PhaseSeq: 2, Kind: KindExec, FP: "ab", Cache: CacheHit, Digest: "cd", Rows: 2})
 

@@ -41,12 +41,11 @@ func ParseLevel(s string) (Level, error) {
 // Ledger, a nil *Logger swallows every call, so instrumented code
 // logs unconditionally and observability-off costs nothing.
 //
-// The deterministic tiers (core, analysis, sqldb) never construct a
-// logger themselves — they receive one by injection (core.Config.
-// Logger), exactly like Config.Clock, so GL007/GL009 hold and tests
-// stay byte-reproducible with logging off. Correlation attributes
-// (job_id, phase) are attached by derivation: WithJob/WithPhase
-// return child loggers whose every record carries the attr.
+// The deterministic tiers (core, analysis, sqldb) never log: what
+// happened inside an extraction is on its trace, so GL009 holds and
+// tests stay byte-reproducible. Correlation attributes (job_id) are
+// attached by derivation: WithJob and With return child loggers whose
+// every record carries the attr.
 type Logger struct {
 	s *slog.Logger
 }
@@ -73,11 +72,6 @@ func (l *Logger) With(args ...any) *Logger {
 // WithJob derives the per-job logger: every record carries the job id.
 func (l *Logger) WithJob(id int64) *Logger {
 	return l.With("job_id", id)
-}
-
-// WithPhase derives the per-phase logger used inside the pipeline.
-func (l *Logger) WithPhase(phase string) *Logger {
-	return l.With("phase", phase)
 }
 
 // Enabled reports whether records at the given level would be

@@ -47,13 +47,13 @@ func TestLoggerLevelFiltering(t *testing.T) {
 
 func TestLoggerCorrelationAttrs(t *testing.T) {
 	var buf bytes.Buffer
-	log := NewLogger(&buf, LevelInfo).WithJob(42).WithPhase("filters")
+	log := NewLogger(&buf, LevelInfo).WithJob(42).With("latency_ms", 1.5)
 	log.Info("probe batch", "n", 3)
 	var rec map[string]any
 	if err := json.Unmarshal(bytes.TrimSpace(buf.Bytes()), &rec); err != nil {
 		t.Fatalf("record not JSON: %v", err)
 	}
-	if rec["job_id"] != float64(42) || rec["phase"] != "filters" {
+	if rec["job_id"] != float64(42) || rec["latency_ms"] != 1.5 {
 		t.Errorf("correlation attrs missing: %v", rec)
 	}
 }
@@ -70,7 +70,7 @@ func TestLoggerNilSafety(t *testing.T) {
 	if d := log.With("k", "v"); d != nil {
 		t.Error("With on nil logger must stay nil")
 	}
-	if d := log.WithJob(1).WithPhase("x"); d != nil {
+	if d := log.WithJob(1).With("k", "v"); d != nil {
 		t.Error("derivations of nil logger must stay nil")
 	}
 	if NewLogger(nil, LevelInfo) != nil {

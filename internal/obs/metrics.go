@@ -78,6 +78,45 @@ func (m *Metrics) Histogram(name string) *Histogram {
 	return h
 }
 
+// RecordProbe folds one ledger event into the registry: probes_total,
+// cache_<outcome> and phase_probes.<phase> for every event; for an
+// event that ran the executable (every outcome but a memory or disk
+// hit) app_invocations and one probe_latency_ms observation from its
+// duration; and probe_errors when it carries an error. Installed as a
+// ledger sink (Ledger.SetSink), it makes the registry a live view of
+// the ledger.
+func (m *Metrics) RecordProbe(e ProbeEvent) {
+	if m == nil {
+		return
+	}
+	m.Counter("probes_total").Add(1)
+	m.Counter("cache_" + e.Cache).Add(1)
+	m.Counter("phase_probes." + e.Phase).Add(1)
+	if e.Cache != CacheHit && e.Cache != CacheDisk {
+		m.Counter("app_invocations").Add(1)
+		m.Histogram("probe_latency_ms").Observe(float64(e.DurUS) / 1e3)
+	}
+	if e.Err != "" {
+		m.Counter("probe_errors").Add(1)
+	}
+}
+
+// RecordPhases observes each pipeline phase of an exported span tree
+// (Tracer.Events) once in its phase_ms.<name> histogram: the phases
+// are the children of the root span, and each observation is its
+// duration in milliseconds.
+func (m *Metrics) RecordPhases(spans []SpanEvent) {
+	if m == nil || len(spans) == 0 {
+		return
+	}
+	root := spans[0].ID
+	for _, sp := range spans[1:] {
+		if sp.Parent == root {
+			m.Histogram("phase_ms." + sp.Name).Observe(float64(sp.DurUS) / 1e3)
+		}
+	}
+}
+
 // Snapshot renders the registry as a plain map: counters and gauges
 // by value, histograms as {buckets, counts, count, sum_ms}.
 func (m *Metrics) Snapshot() map[string]any {

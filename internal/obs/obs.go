@@ -21,9 +21,11 @@
 //     byte-identical across worker counts once the volatile fields
 //     (timings, worker and scheduling indices) are stripped.
 //   - The Metrics registry (metrics.go) keeps counters, gauges and
-//     latency histograms (probe runs per phase, cache traffic, rows
-//     mutated) and can publish itself through expvar for scraping via
-//     the standard /debug/vars endpoint.
+//     latency histograms. The pipeline never writes it: its probe and
+//     phase metrics are a view of the ledger and the span tree, folded
+//     in by the caller (RecordProbe from a ledger sink, RecordPhases
+//     on the span export). It can publish itself through expvar for
+//     scraping via the standard /debug/vars endpoint.
 //
 // All record-side entry points are nil-receiver safe, so the pipeline
 // instruments unconditionally and pays nothing when observability is
@@ -38,7 +40,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 )
 
 // Event types (the "type" field of every JSONL trace line).
@@ -71,12 +72,10 @@ const (
 	// CacheMiss: no prior execution; E ran and the outcome was
 	// recorded (timeouts excepted).
 	CacheMiss = "miss"
-	// CacheBypass: the instance was too large for every attached
-	// memoization tier, so E ran without fingerprinting.
+	// CacheBypass: no attached memoization tier admits the probe (the
+	// instance is too large, or it is a from-clause rename probe and no
+	// durable tier is attached), so E ran without fingerprinting.
 	CacheBypass = "bypass"
-	// CacheNone: the probe path never consults the cache (from-clause
-	// rename probes on the full instance without a shared cache).
-	CacheNone = "none"
 	// CacheDisk: the fingerprint matched an execution persisted in the
 	// durable cross-job probe cache (internal/storage); E was not run.
 	CacheDisk = "disk"
@@ -139,11 +138,10 @@ type ProbeEvent struct {
 	// (group testing), so one event may name one table or all of them.
 	Table string `json:"table,omitempty"`
 	// FP is the hex sqldb.Fingerprint of the input database; empty
-	// when the probe bypassed fingerprinting (large instance, rename
-	// probes without a shared cache).
+	// when the probe bypassed fingerprinting (CacheBypass).
 	FP string `json:"fp,omitempty"`
 	// Cache is the memoization outcome (CacheHit, CacheDisk,
-	// CacheMiss, CacheBypass, CacheNone).
+	// CacheMiss, CacheBypass).
 	Cache string `json:"cache"`
 	// Digest is the hex sqldb result digest and Rows the result row
 	// count; both absent when the invocation returned an error.
@@ -187,59 +185,32 @@ func (e SpanEvent) Canonical() SpanEvent {
 // StripVolatile rewrites a JSONL trace so that only stable fields
 // remain populated: timings, worker ids and scheduling indices are
 // zeroed on every line. Two traces of the same extraction — any
-// worker count, any machine — strip to identical bytes. Unknown line
-// types are an error (run Validate first for a full schema check).
+// worker count, any machine — strip to identical bytes. Lines are
+// read as Decode reads them (run Validate first for a full schema
+// check).
 func StripVolatile(data []byte) ([]byte, error) {
 	var out bytes.Buffer
-	for i, line := range bytes.Split(data, []byte("\n")) {
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		typ, err := lineType(line)
-		if err != nil {
-			return nil, fmt.Errorf("line %d: %w", i+1, err)
-		}
+	err := Decode(bytes.NewReader(data), func(f Frame) error {
 		var canon any
-		switch typ {
+		switch f.Type {
 		case TypeRun:
-			var h RunHeader
-			if err := json.Unmarshal(line, &h); err != nil {
-				return nil, fmt.Errorf("line %d: %w", i+1, err)
-			}
-			h.Workers = 0 // scheduling configuration, not workload content
-			canon = h
+			f.Run.Workers = 0 // scheduling configuration, not workload content
+			canon = f.Run
 		case TypeSpan:
-			var s SpanEvent
-			if err := json.Unmarshal(line, &s); err != nil {
-				return nil, fmt.Errorf("line %d: %w", i+1, err)
-			}
-			canon = s.Canonical()
+			canon = f.Span.Canonical()
 		case TypeProbe:
-			var p ProbeEvent
-			if err := json.Unmarshal(line, &p); err != nil {
-				return nil, fmt.Errorf("line %d: %w", i+1, err)
-			}
-			canon = p.Canonical()
-		default:
-			return nil, fmt.Errorf("line %d: unknown event type %q", i+1, typ)
+			canon = f.Probe.Canonical()
 		}
 		enc, err := json.Marshal(canon)
 		if err != nil {
-			return nil, fmt.Errorf("line %d: %w", i+1, err)
+			return err
 		}
 		out.Write(enc)
 		out.WriteByte('\n')
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out.Bytes(), nil
-}
-
-// lineType peeks the "type" discriminator of one JSONL line.
-func lineType(line []byte) (string, error) {
-	var head struct {
-		Type string `json:"type"`
-	}
-	if err := json.Unmarshal(line, &head); err != nil {
-		return "", fmt.Errorf("not a JSON object: %w", err)
-	}
-	return head.Type, nil
 }

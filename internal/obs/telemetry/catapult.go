@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -135,43 +134,18 @@ func CatapultFromTrace(w io.Writer, r io.Reader) error {
 		spans  []obs.SpanEvent
 		probes []obs.ProbeEvent
 	)
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		var head struct {
-			Type string `json:"type"`
-		}
-		if err := json.Unmarshal(raw, &head); err != nil {
-			return fmt.Errorf("line %d: %w", line, err)
-		}
-		switch head.Type {
+	err := obs.Decode(r, func(f obs.Frame) error {
+		switch f.Type {
 		case obs.TypeRun:
-			if err := json.Unmarshal(raw, &header); err != nil {
-				return fmt.Errorf("line %d: %w", line, err)
-			}
+			header = f.Run
 		case obs.TypeSpan:
-			var s obs.SpanEvent
-			if err := json.Unmarshal(raw, &s); err != nil {
-				return fmt.Errorf("line %d: %w", line, err)
-			}
-			spans = append(spans, s)
+			spans = append(spans, f.Span)
 		case obs.TypeProbe:
-			var p obs.ProbeEvent
-			if err := json.Unmarshal(raw, &p); err != nil {
-				return fmt.Errorf("line %d: %w", line, err)
-			}
-			probes = append(probes, p)
-		default:
-			return fmt.Errorf("line %d: unknown event type %q", line, head.Type)
+			probes = append(probes, f.Probe)
 		}
-	}
-	if err := sc.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return err
 	}
 	return WriteCatapult(w, header, spans, probes)

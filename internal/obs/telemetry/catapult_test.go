@@ -21,7 +21,7 @@ func catapultFixture() (obs.RunHeader, []obs.SpanEvent, []obs.ProbeEvent) {
 		{Type: obs.TypeProbe, Phase: "filters", PhaseSeq: 4, Kind: obs.KindExec,
 			Cache: obs.CacheMiss, Digest: "ab", Rows: 1, Worker: 1, TSUS: 150, DurUS: 80},
 		{Type: obs.TypeProbe, Phase: "from-clause", PhaseSeq: 1, Kind: obs.KindRename,
-			Table: "orders", Cache: obs.CacheNone, Err: "no such table", Worker: 0, TSUS: 10, DurUS: 30},
+			Table: "orders", Cache: obs.CacheBypass, Err: "no such table", Worker: 0, TSUS: 10, DurUS: 30},
 	}
 	return h, spans, probes
 }
@@ -127,6 +127,44 @@ func TestCatapultFromTraceRejectsGarbage(t *testing.T) {
 	} {
 		if err := CatapultFromTrace(&bytes.Buffer{}, strings.NewReader(in)); err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// TestTraceFileReadersRejectStreamFrames: the three readers of trace
+// files share obs.Decode, which refuses what only a live stream may
+// carry — an SSE data line and a job lifecycle frame — and skips only
+// empty lines, so a whitespace-only line is refused too.
+func TestTraceFileReadersRejectStreamFrames(t *testing.T) {
+	const run = `{"type":"run","app":"q1"}` + "\n"
+	readers := map[string]func(string) error{
+		"Validate": func(in string) error {
+			_, err := obs.Validate(strings.NewReader(in))
+			return err
+		},
+		"StripVolatile": func(in string) error {
+			_, err := obs.StripVolatile([]byte(in))
+			return err
+		},
+		"CatapultFromTrace": func(in string) error {
+			return CatapultFromTrace(&bytes.Buffer{}, strings.NewReader(in))
+		},
+	}
+	cases := map[string]string{
+		"data line":       run + `data: {"type":"span","id":2,"parent":1,"name":"x"}` + "\n",
+		"job frame":       run + `{"type":"job","id":1,"state":"done"}` + "\n",
+		"whitespace line": run + "  \n",
+	}
+	for reader, read := range readers {
+		if err := read(run + "\n" + run); err != nil {
+			t.Errorf("%s rejects a trace with an empty line: %v", reader, err)
+		}
+		for name, in := range cases {
+			if err := read(in); err == nil {
+				t.Errorf("%s accepted a %s", reader, name)
+			} else if !strings.Contains(err.Error(), "line 2:") {
+				t.Errorf("%s: %s rejected without its line number: %v", reader, name, err)
+			}
 		}
 	}
 }

@@ -8,19 +8,105 @@ import (
 	"io"
 )
 
+// Frame is one decoded line of a trace file or live stream. Type is
+// the line's "type" discriminator, and the field of that type holds
+// the event.
+type Frame struct {
+	Type  string
+	Run   RunHeader
+	Span  SpanEvent
+	Probe ProbeEvent
+	Job   JobEvent
+}
+
+// Decode reads a JSONL trace file (the -trace and /jobs/{id}/trace
+// format) and hands every event to fn in file order. Only empty lines
+// are skipped; every other line must be a JSON object of type run,
+// span or probe (job frames belong to live streams). The first error,
+// a malformed line or fn's own, is returned with its line number.
+// Decode checks no schema rule beyond the type: Validate does.
+func Decode(r io.Reader, fn func(Frame) error) error { return decode(r, false, fn) }
+
+// decode is Decode with an SSE switch: with sse set it reads a live
+// stream instead, as raw JSONL or as the SSE transcript curl captures
+// (sseData), and accepts job frames.
+func decode(r io.Reader, sse bool, fn func(Frame) error) error {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
+	for line := 1; sc.Scan(); line++ {
+		raw := sc.Bytes()
+		if sse {
+			var ok bool
+			if raw, ok = sseData(raw); !ok {
+				continue
+			}
+		} else if len(raw) == 0 {
+			continue
+		}
+		f, err := decodeFrame(raw, sse)
+		if err == nil {
+			err = fn(f)
+		}
+		if err != nil {
+			return fmt.Errorf("line %d: %w", line, err)
+		}
+	}
+	return sc.Err()
+}
+
+// sseData extracts the frame of one stream line: the trimmed line when
+// it is raw JSON, or the value of an SSE data field (which may be
+// empty, and then fails to decode). Blank lines, SSE comments and
+// other SSE fields carry no frame.
+func sseData(raw []byte) (frame []byte, ok bool) {
+	raw = bytes.TrimSpace(raw)
+	if len(raw) == 0 || raw[0] == ':' {
+		return nil, false
+	}
+	if field, value, found := bytes.Cut(raw, []byte(":")); found && raw[0] != '{' {
+		return bytes.TrimSpace(value), string(field) == "data"
+	}
+	return raw, true
+}
+
+// decodeFrame peeks the "type" of one line and unmarshals it into the
+// matching event; job frames are legal only in streams.
+func decodeFrame(raw []byte, stream bool) (Frame, error) {
+	var head struct {
+		Type string `json:"type"`
+	}
+	if err := json.Unmarshal(raw, &head); err != nil {
+		return Frame{}, fmt.Errorf("not a JSON object: %w", err)
+	}
+	f := Frame{Type: head.Type}
+	var v any
+	switch {
+	case f.Type == TypeRun:
+		v = &f.Run
+	case f.Type == TypeSpan:
+		v = &f.Span
+	case f.Type == TypeProbe:
+		v = &f.Probe
+	case f.Type == TypeJob && stream:
+		v = &f.Job
+	default:
+		return f, fmt.Errorf("unknown event type %q", f.Type)
+	}
+	return f, json.Unmarshal(raw, v)
+}
+
 // TraceSummary is the outcome of validating a JSONL trace file.
 type TraceSummary struct {
 	// Spans and Probes count the validated lines of each type.
 	Spans  int
 	Probes int
-	// Hits/Disk/Misses/Bypass/None break the probe events down by
-	// cache outcome. Hits + Disk + every executed class (Misses,
-	// Bypass, None) equals Probes.
+	// Hits/Disk/Misses/Bypass break the probe events down by cache
+	// outcome. Hits + Disk + every executed class (Misses, Bypass)
+	// equals Probes.
 	Hits   int
 	Disk   int
 	Misses int
 	Bypass int
-	None   int
 	// ByPhase counts probe events per pipeline phase.
 	ByPhase map[string]int
 	// Apps lists the run headers seen (normally exactly one).
@@ -32,21 +118,26 @@ type TraceSummary struct {
 // For a complete trace this equals the extraction's
 // Stats.AppInvocations.
 func (s *TraceSummary) Executed() int {
-	return s.Misses + s.Bypass + s.None
+	return s.Misses + s.Bypass
 }
 
 func (s *TraceSummary) String() string {
-	return fmt.Sprintf("spans=%d probes=%d (executed=%d hits=%d disk=%d misses=%d bypass=%d none=%d) phases=%d",
-		s.Spans, s.Probes, s.Executed(), s.Hits, s.Disk, s.Misses, s.Bypass, s.None, len(s.ByPhase))
+	return fmt.Sprintf("spans=%d probes=%d (executed=%d hits=%d disk=%d misses=%d bypass=%d) phases=%d",
+		s.Spans, s.Probes, s.Executed(), s.Hits, s.Disk, s.Misses, s.Bypass, len(s.ByPhase))
 }
 
 // validCache enumerates the legal cache outcomes.
 var validCache = map[string]bool{
-	CacheHit: true, CacheDisk: true, CacheMiss: true, CacheBypass: true, CacheNone: true,
+	CacheHit: true, CacheDisk: true, CacheMiss: true, CacheBypass: true,
 }
 
 // validKind enumerates the legal probe kinds.
 var validKind = map[string]bool{KindExec: true, KindRename: true}
+
+// validJobState enumerates the lifecycle states a job frame may carry.
+var validJobState = map[string]bool{
+	"queued": true, "running": true, "done": true, "failed": true, "cancelled": true,
+}
 
 // Validate checks a JSONL trace against the schema of DESIGN.md §8:
 // every line is a JSON object with a known "type"; span ids are
@@ -57,51 +148,20 @@ var validKind = map[string]bool{KindExec: true, KindRename: true}
 // The first error is returned with its line number.
 func Validate(r io.Reader) (*TraceSummary, error) {
 	sum := &TraceSummary{ByPhase: map[string]int{}}
-	seenSpans := map[int]bool{}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
+	seen := map[int]bool{}
+	err := Decode(r, func(f Frame) error {
+		if err := checkFrame(&f, seen, false); err != nil {
+			return err
 		}
-		typ, err := lineType(raw)
-		if err != nil {
-			return nil, fmt.Errorf("line %d: %w", line, err)
-		}
-		switch typ {
+		switch f.Type {
 		case TypeRun:
-			var h RunHeader
-			if err := json.Unmarshal(raw, &h); err != nil {
-				return nil, fmt.Errorf("line %d: %w", line, err)
-			}
-			if h.App == "" {
-				return nil, fmt.Errorf("line %d: run header without app", line)
-			}
-			sum.Apps = append(sum.Apps, h.App)
+			sum.Apps = append(sum.Apps, f.Run.App)
 		case TypeSpan:
-			var s SpanEvent
-			if err := json.Unmarshal(raw, &s); err != nil {
-				return nil, fmt.Errorf("line %d: %w", line, err)
-			}
-			if err := checkSpan(&s, seenSpans); err != nil {
-				return nil, fmt.Errorf("line %d: %w", line, err)
-			}
-			seenSpans[s.ID] = true
 			sum.Spans++
 		case TypeProbe:
-			var p ProbeEvent
-			if err := json.Unmarshal(raw, &p); err != nil {
-				return nil, fmt.Errorf("line %d: %w", line, err)
-			}
-			if err := checkProbe(&p); err != nil {
-				return nil, fmt.Errorf("line %d: %w", line, err)
-			}
 			sum.Probes++
-			sum.ByPhase[p.Phase]++
-			switch p.Cache {
+			sum.ByPhase[f.Probe.Phase]++
+			switch f.Probe.Cache {
 			case CacheHit:
 				sum.Hits++
 			case CacheDisk:
@@ -110,36 +170,57 @@ func Validate(r io.Reader) (*TraceSummary, error) {
 				sum.Misses++
 			case CacheBypass:
 				sum.Bypass++
-			case CacheNone:
-				sum.None++
 			}
-		default:
-			return nil, fmt.Errorf("line %d: unknown event type %q", line, typ)
 		}
-	}
-	if err := sc.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	return sum, nil
 }
 
-func checkSpan(s *SpanEvent, seen map[int]bool) error {
-	if s.Name == "" {
+// checkFrame applies the schema rules of f's type. seen holds the ids
+// of the spans checked so far. With live set, a span without an id is
+// a live stream frame: it has no place in the pre-order tree yet, so
+// it must carry no parent either.
+func checkFrame(f *Frame, seen map[int]bool, live bool) error {
+	switch f.Type {
+	case TypeRun:
+		if f.Run.App == "" {
+			return fmt.Errorf("run header without app")
+		}
+	case TypeSpan:
+		return checkSpan(&f.Span, seen, live)
+	case TypeProbe:
+		return checkProbe(&f.Probe)
+	case TypeJob:
+		if !validJobState[f.Job.State] {
+			return fmt.Errorf("job frame with unknown state %q", f.Job.State)
+		}
+	}
+	return nil
+}
+
+func checkSpan(s *SpanEvent, seen map[int]bool, live bool) error {
+	switch {
+	case s.Name == "":
 		return fmt.Errorf("span without name")
-	}
-	if s.ID <= 0 {
+	case s.DurUS < 0 || s.StartUS < 0:
+		return fmt.Errorf("span %q: negative timing", s.Name)
+	case live && s.ID == 0 && s.Parent != 0:
+		return fmt.Errorf("live span %q carries parent %d without an id", s.Name, s.Parent)
+	case live && s.ID == 0:
+		return nil
+	case s.ID <= 0:
 		return fmt.Errorf("span %q: id %d must be positive", s.Name, s.ID)
-	}
-	if seen[s.ID] {
+	case seen[s.ID]:
 		return fmt.Errorf("span %q: duplicate id %d", s.Name, s.ID)
-	}
-	if s.Parent != 0 && !seen[s.Parent] {
+	case s.Parent != 0 && !seen[s.Parent]:
 		return fmt.Errorf("span %q: parent %d not seen before child %d (spans must be pre-order)",
 			s.Name, s.Parent, s.ID)
 	}
-	if s.DurUS < 0 || s.StartUS < 0 {
-		return fmt.Errorf("span %q: negative timing", s.Name)
-	}
+	seen[s.ID] = true
 	return nil
 }
 
@@ -207,11 +288,6 @@ func (s *StreamSummary) String() string {
 		s.Frames, s.Spans, s.OpenSpans, s.Probes, s.Jobs, final)
 }
 
-// validJobState enumerates the lifecycle states a job frame may carry.
-var validJobState = map[string]bool{
-	"queued": true, "running": true, "done": true, "failed": true, "cancelled": true,
-}
-
 // ValidateStream checks a live trace stream against the schema. It
 // accepts both raw JSONL and the SSE transcript curl produces
 // ("data: {...}" frames; event/id/retry and comment lines are
@@ -223,89 +299,29 @@ var validJobState = map[string]bool{
 // id-bearing spans — matches Validate. An empty capture is an error.
 func ValidateStream(r io.Reader) (*StreamSummary, error) {
 	sum := &StreamSummary{}
-	seenSpans := map[int]bool{}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := bytes.TrimSpace(sc.Bytes())
-		if len(raw) == 0 || raw[0] == ':' {
-			continue // SSE keep-alive comment or frame separator
+	seen := map[int]bool{}
+	err := decode(r, true, func(f Frame) error {
+		if err := checkFrame(&f, seen, true); err != nil {
+			return err
 		}
-		if before, after, ok := bytes.Cut(raw, []byte(":")); ok && !bytes.HasPrefix(raw, []byte("{")) {
-			// SSE field line: only data fields carry frames.
-			if string(before) != "data" {
-				continue
-			}
-			raw = bytes.TrimSpace(after)
-		}
-		typ, err := lineType(raw)
-		if err != nil {
-			return nil, fmt.Errorf("line %d: %w", line, err)
-		}
-		switch typ {
+		switch f.Type {
 		case TypeRun:
-			var h RunHeader
-			if err := json.Unmarshal(raw, &h); err != nil {
-				return nil, fmt.Errorf("line %d: %w", line, err)
-			}
-			if h.App == "" {
-				return nil, fmt.Errorf("line %d: run header without app", line)
-			}
-			sum.Apps = append(sum.Apps, h.App)
+			sum.Apps = append(sum.Apps, f.Run.App)
 		case TypeSpan:
-			var s SpanEvent
-			if err := json.Unmarshal(raw, &s); err != nil {
-				return nil, fmt.Errorf("line %d: %w", line, err)
-			}
-			if s.ID == 0 {
-				// Live frame: no pre-order id yet, so no parent link.
-				if s.Name == "" {
-					return nil, fmt.Errorf("line %d: span without name", line)
-				}
-				if s.Parent != 0 {
-					return nil, fmt.Errorf("line %d: live span %q carries parent %d without an id", line, s.Name, s.Parent)
-				}
-				if s.DurUS < 0 || s.StartUS < 0 {
-					return nil, fmt.Errorf("line %d: span %q: negative timing", line, s.Name)
-				}
-			} else {
-				// Replayed export: full trace-file rules apply.
-				if err := checkSpan(&s, seenSpans); err != nil {
-					return nil, fmt.Errorf("line %d: %w", line, err)
-				}
-				seenSpans[s.ID] = true
-			}
-			if s.Open {
+			if f.Span.Open {
 				sum.OpenSpans++
 			}
 			sum.Spans++
 		case TypeProbe:
-			var p ProbeEvent
-			if err := json.Unmarshal(raw, &p); err != nil {
-				return nil, fmt.Errorf("line %d: %w", line, err)
-			}
-			if err := checkProbe(&p); err != nil {
-				return nil, fmt.Errorf("line %d: %w", line, err)
-			}
 			sum.Probes++
 		case TypeJob:
-			var j JobEvent
-			if err := json.Unmarshal(raw, &j); err != nil {
-				return nil, fmt.Errorf("line %d: %w", line, err)
-			}
-			if !validJobState[j.State] {
-				return nil, fmt.Errorf("line %d: job frame with unknown state %q", line, j.State)
-			}
 			sum.Jobs++
-			sum.Final = j.State
-		default:
-			return nil, fmt.Errorf("line %d: unknown event type %q", line, typ)
+			sum.Final = f.Job.State
 		}
 		sum.Frames++
-	}
-	if err := sc.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	if sum.Frames == 0 {

@@ -17,13 +17,13 @@ func TestValidateGoodTrace(t *testing.T) {
 {"type":"span","id":2,"parent":1,"name":"filters","seq":0,"start_us":1,"dur_us":5}
 {"type":"probe","phase":"filters","phase_seq":4,"kind":"exec","fp":"ab","cache":"miss","digest":"12","rows":1,"worker":1,"probe":0,"seq":0,"ts_us":3,"dur_us":2}
 {"type":"probe","phase":"filters","phase_seq":4,"kind":"exec","fp":"ab","cache":"hit","digest":"12","rows":1,"worker":2,"probe":1,"seq":1,"ts_us":4,"dur_us":0}
-{"type":"probe","phase":"from-clause","phase_seq":1,"kind":"rename","table":"orders","cache":"none","err":"no such table","worker":0,"probe":0,"seq":2,"ts_us":5,"dur_us":1}
+{"type":"probe","phase":"from-clause","phase_seq":1,"kind":"rename","table":"orders","cache":"bypass","err":"no such table","worker":0,"probe":0,"seq":2,"ts_us":5,"dur_us":1}
 `
 	sum, err := validateStr(t, trace)
 	if err != nil {
 		t.Fatalf("good trace rejected: %v", err)
 	}
-	if sum.Spans != 2 || sum.Probes != 3 || sum.Hits != 1 || sum.Misses != 1 || sum.None != 1 {
+	if sum.Spans != 2 || sum.Probes != 3 || sum.Hits != 1 || sum.Misses != 1 || sum.Bypass != 1 {
 		t.Fatalf("summary wrong: %s", sum)
 	}
 	if sum.Executed() != 2 {
@@ -49,7 +49,8 @@ func TestValidateRejections(t *testing.T) {
 		"unknown kind":         `{"type":"probe","phase":"p","kind":"guess","cache":"miss"}`,
 		"unknown cache":        `{"type":"probe","phase":"p","kind":"exec","cache":"maybe"}`,
 		"retired cache off":    `{"type":"probe","phase":"p","kind":"exec","cache":"off"}`,
-		"rename without table": `{"type":"probe","phase":"p","kind":"rename","cache":"none"}`,
+		"retired cache none":   `{"type":"probe","phase":"p","kind":"rename","table":"t","cache":"none"}`,
+		"rename without table": `{"type":"probe","phase":"p","kind":"rename","cache":"bypass"}`,
 		"hit without fp":       `{"type":"probe","phase":"p","kind":"exec","cache":"hit"}`,
 		"odd hex fp":           `{"type":"probe","phase":"p","kind":"exec","cache":"miss","fp":"abc"}`,
 		"uppercase digest":     `{"type":"probe","phase":"p","kind":"exec","cache":"miss","digest":"AB"}`,

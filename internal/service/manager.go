@@ -35,13 +35,15 @@ type Config struct {
 	// per-job in-memory cache still runs).
 	CacheDir string
 	// Metrics receives service-level metrics — queue depth, jobs by
-	// state, job latency quantiles — plus the per-probe counters of
-	// every extraction. Nil disables metrics.
+	// state, job latency quantiles — plus a view of every extraction's
+	// own records: its probe counters, folded in from its ledger as
+	// each probe lands, its phase_ms histograms from its span tree at
+	// the terminal transition, and the engine_* counters of a done
+	// job's Stats. Nil disables metrics.
 	Metrics *obs.Metrics
 	// Logger receives structured job-lifecycle records (submitted,
-	// started, terminal transitions) with job_id correlation attrs,
-	// and is threaded into every extraction for phase records. Nil
-	// disables logging.
+	// started, terminal transitions) with job_id correlation attrs.
+	// Nil disables logging.
 	Logger *obs.Logger
 }
 
@@ -215,11 +217,15 @@ func (m *Manager) runJob(ctx context.Context, j *Job) {
 	j.tracer = obs.NewTracer("extract")
 	j.ledger = obs.NewLedger()
 	// Live telemetry: every span open/close and probe record fans out
-	// to the job's SSE stream as it happens. stream is write-once at
-	// admission, so reading it outside the lock is safe.
+	// to the job's SSE stream as it happens, and every probe record
+	// into the registry. stream is write-once at admission, so reading
+	// it outside the lock is safe.
 	stream := j.stream
 	j.tracer.SetSink(func(e obs.SpanEvent) { stream.Publish(e) })
-	j.ledger.SetSink(func(e obs.ProbeEvent) { stream.Publish(e) })
+	j.ledger.SetSink(func(e obs.ProbeEvent) {
+		stream.Publish(e)
+		m.metrics.RecordProbe(e)
+	})
 	spec := j.spec
 	m.setGaugesLocked()
 	m.mu.Unlock()
@@ -234,8 +240,6 @@ func (m *Manager) runJob(ctx context.Context, j *Job) {
 		cfg := jobConfig(spec)
 		cfg.Tracer = j.tracer
 		cfg.Ledger = j.ledger
-		cfg.Metrics = m.metrics
-		cfg.Logger = m.logger.WithJob(j.id)
 		if m.probeCache != nil {
 			// The daemon-wide durable tier, scoped to this job's
 			// executable identity: an identical job on a warm cache
@@ -261,6 +265,8 @@ func (m *Manager) runJob(ctx context.Context, j *Job) {
 		j.trace = ext.Trace
 		rec.State, rec.SQL, rec.Stats = StateDone, ext.SQL, &ext.Stats
 		m.metrics.Counter("jobs_done").Add(1)
+		m.metrics.Counter("engine_join_builds_reused").Add(ext.Stats.JoinBuildsReused)
+		m.metrics.Counter("engine_vector_batches").Add(ext.Stats.VectorBatches)
 	case j.cancelRequested && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)):
 		j.state = StateCancelled
 		j.errMsg = err.Error()
@@ -274,6 +280,9 @@ func (m *Manager) runJob(ctx context.Context, j *Job) {
 		rec.State, rec.Err = StateFailed, j.errMsg
 		m.metrics.Counter("jobs_failed").Add(1)
 	}
+	// Recorded before the lock is released, so whoever reads the job as
+	// terminal also reads its phases in the registry.
+	m.metrics.RecordPhases(j.trace)
 	state, errMsg := j.state, j.errMsg
 	m.setGaugesLocked()
 	m.mu.Unlock()
@@ -285,7 +294,9 @@ func (m *Manager) runJob(ctx context.Context, j *Job) {
 	stream.Close()
 	log := m.logger.WithJob(j.id).With("latency_ms", float64(latency.Microseconds())/1e3)
 	if state == StateDone {
-		log.Info("job done")
+		log.Info("job done",
+			"total_ms", float64(ext.Stats.Total.Microseconds())/1e3,
+			"invocations", ext.Stats.AppInvocations)
 	} else {
 		log.Warn("job "+string(state), "err", errMsg)
 	}

@@ -151,10 +151,11 @@ func TestStoreUnterminatedLineIsTorn(t *testing.T) {
 
 // TestOpenStoreReadsOlderJobLog pins job-log compatibility across
 // core.Stats field changes. testdata/jobs_parent.jsonl was written by
-// a daemon whose Stats still carried the ExecMode field and the six
-// fields of the removed bounded checker: one done job
-// with stats, one failed job, one job interrupted while running and
-// one still queued behind it when the process was killed. Unknown
+// a daemon whose Stats still carried the ExecMode field, the six
+// fields of the removed bounded checker, SiloSetup and
+// RowsAfterSampling: one done job with stats, one failed job, one job
+// interrupted while running and one still queued behind it when the
+// process was killed. Unknown
 // fields must decode silently; a record that failed to decode would
 // be treated as a torn tail and truncated along with every later job.
 func TestOpenStoreReadsOlderJobLog(t *testing.T) {
@@ -164,6 +165,9 @@ func TestOpenStoreReadsOlderJobLog(t *testing.T) {
 	}
 	if !bytes.Contains(orig, []byte(`"ExecMode":"vector"`)) {
 		t.Fatal("fixture no longer carries the removed Stats field")
+	}
+	if !bytes.Contains(orig, []byte(`"SiloSetup":`)) || !bytes.Contains(orig, []byte(`"RowsAfterSampling":`)) {
+		t.Fatal("fixture no longer carries the removed SiloSetup and RowsAfterSampling Stats fields")
 	}
 	// Split so that a repository search for the removed identifier
 	// matches only the fixture.

@@ -8,28 +8,16 @@ import (
 
 // This file exports the pieces of the constraint analysis that the
 // bounded equivalence checker (internal/analysis/eqcequiv) builds its
-// instance enumerator on: which columns join, which carry filter
-// constraints, and the per-column "interesting" values — the predicate
-// boundaries plus their violating neighbours — that partition a
-// column's domain into the equivalence classes the enumeration ranges
-// over.
+// instance enumerator on: which columns join, and the per-column
+// "interesting" values — the predicate boundaries plus their violating
+// neighbours — that partition a column's domain into the equivalence
+// classes the enumeration ranges over.
 
 // JoinCols returns every column participating in the candidate's join
 // graph, in deterministic order.
 func (a *Analysis) JoinCols() []sqldb.ColRef {
 	out := make([]sqldb.ColRef, 0, len(a.compOf))
 	for c := range a.compOf {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
-}
-
-// ConstrainedCols returns every column carrying a filter constraint,
-// in deterministic order.
-func (a *Analysis) ConstrainedCols() []sqldb.ColRef {
-	out := make([]sqldb.ColRef, 0, len(a.cons))
-	for c := range a.cons {
 		out = append(out, c)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })

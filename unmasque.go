@@ -149,8 +149,10 @@ var WriteResultCSV = sqldb.WriteResultCSV
 // MustParse parses or panics; for statically known queries.
 func MustParse(sql string) *SelectStmt { return sqlparser.MustParse(sql) }
 
-// Observability types (wire them into Config.Tracer / Config.Ledger /
-// Config.Metrics to trace an extraction).
+// Observability types. Wire a Tracer and a Ledger into Config.Tracer
+// and Config.Ledger to trace an extraction; a Metrics registry is a
+// view of them, filled by Metrics.RecordProbe from a ledger sink
+// (Ledger.SetSink) and by Metrics.RecordPhases on Extraction.Trace.
 type (
 	// Tracer records the extraction's span tree; the finished tree is
 	// returned on Extraction.Trace.
