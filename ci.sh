@@ -13,7 +13,9 @@
 # tree-walking oracle, plus the golden TPC-H extraction pins), every
 # fuzz target in smoke mode, an end-to-end traced extraction whose
 # JSONL output is schema-validated, the daemon and telemetry
-# end-to-ends, the durable probe-cache end-to-ends (a cold then warm
+# end-to-ends (the daemon's /metrics and the CLI's -metrics output
+# both parse as Prometheus text and agree with the run's ledger or
+# profile), the durable probe-cache end-to-ends (a cold then warm
 # one-shot CLI run on one -cache-dir, and a warm-daemon restart on a
 # cache directory), and a coverage gate on the load-bearing packages.
 # Any failure stops the gate.
@@ -171,16 +173,16 @@ jq -e '.ledger_events > 0 and .ledger_events == .app_invocations + .cache_hits +
 curl -sf "http://$addr/jobs/$job_id/trace" > "$e2e_dir/trace.jsonl"
 go run ./cmd/unmasque -validate-trace "$e2e_dir/trace.jsonl"
 
-# Telemetry end-to-end against the same daemon: (a) the Prometheus
-# exposition of /metrics must parse under the strict text-format
-# validator and carry the job counters, (b) the registry's probe
-# counters must equal the ledger of the one job that has run so far
-# (the registry is a view of the jobs' ledgers), (c) a live SSE
+# Telemetry end-to-end against the same daemon: (a) /metrics, which
+# answers only Prometheus text, must parse under the strict
+# text-format validator and carry the job counters, (b) the registry's
+# probe counters must equal the ledger of the one job that has run so
+# far (the registry is a view of the jobs' ledgers), (c) a live SSE
 # subscription opened on a just-submitted job must replay+stream
 # frames that pass the stream validator and end at a terminal
 # lifecycle state.
 echo "== telemetry end-to-end (prom scrape + live SSE)"
-curl -sf "http://$addr/metrics?format=prom" > "$e2e_dir/metrics.prom"
+curl -sf "http://$addr/metrics" > "$e2e_dir/metrics.prom"
 go run ./cmd/unmasque -validate-prom "$e2e_dir/metrics.prom"
 grep -q '^unmasque_jobs_done' "$e2e_dir/metrics.prom" || {
     echo "telemetry e2e: unmasque_jobs_done missing from prom exposition" >&2
@@ -209,6 +211,24 @@ grep -q "drained cleanly" "$e2e_dir/daemon.log" || {
     cat "$e2e_dir/daemon.log" >&2
     exit 1
 }
+
+# CLI metrics end-to-end: -metrics prints the same exposition as the
+# daemon, between its "-- metrics:" banner and the SQL banner. It must
+# parse, and its invocation counter must equal the invocations= field
+# of the same run's -stats profile line.
+echo "== CLI metrics end-to-end (-metrics exposition)"
+cli_out=$(go run ./cmd/unmasque -app enki/posts_by_tag -metrics -stats)
+printf '%s\n' "$cli_out" |
+    awk '/^-- metrics:/ { keep = 1; next } /^--/ { keep = 0 } keep' > "$e2e_dir/cli-metrics.prom"
+go run ./cmd/unmasque -validate-prom "$e2e_dir/cli-metrics.prom"
+cli_invocations=$(awk '$1 == "unmasque_app_invocations" { print $2 }' "$e2e_dir/cli-metrics.prom")
+profile_invocations=$(printf '%s\n' "$cli_out" | sed -n 's/^-- profile:.* invocations=\([0-9]*\) .*/\1/p')
+if [ -z "$cli_invocations" ] || [ "$cli_invocations" != "$profile_invocations" ]; then
+    echo "cli metrics e2e: unmasque_app_invocations=$cli_invocations, profile invocations=$profile_invocations" >&2
+    printf '%s\n' "$cli_out" >&2
+    exit 1
+fi
+echo "cli metrics e2e: unmasque_app_invocations $cli_invocations matches the profile"
 
 # CLI probe-cache end-to-end: two one-shot extractions on the same
 # -cache-dir. Both must print the SQL of the cache-less CLI run above;

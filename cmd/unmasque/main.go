@@ -10,13 +10,13 @@
 //	unmasque -list                          # list all applications
 //	unmasque -app tpch/Q3                   # unmask one application
 //	unmasque -app enki/posts_by_tag -stats  # with the timing profile
-//	unmasque -app tpch/H1 -having           # Section 7 pipeline
+//	unmasque -app tpch/H1                   # Section 7 pipeline (tpch/H1-H3)
 //	unmasque -app tpch/Q3 -trace out.jsonl  # record the probe trace
-//	unmasque -app tpch/Q3 -metrics          # print the metrics registry
+//	unmasque -app tpch/Q3 -metrics          # print the metrics as Prometheus text
 //	unmasque -app tpch/Q3 -chrome t.json    # Chrome trace-event export
 //	unmasque -to-chrome out.jsonl           # convert a recorded trace
 //	unmasque -validate-trace out.jsonl      # schema-check a trace file
-//	unmasque -validate-prom scrape.prom     # check a /metrics scrape
+//	unmasque -validate-prom scrape.prom     # check a /metrics scrape or -metrics output
 //	unmasque -validate-stream capture.sse   # check an SSE stream capture
 //	unmasque -app tpch/Q3 -cache-dir d      # durable cross-run probe cache
 //
@@ -34,7 +34,6 @@ import (
 	_ "net/http/pprof" // registers /debug/pprof on the -debug-addr server
 	"os"
 	"path/filepath"
-	"strings"
 	"time"
 
 	"unmasque/internal/app"
@@ -67,8 +66,6 @@ func (o *obsFlags) attach(cfg *core.Config) {
 	if o.metrics {
 		o.registry = obs.NewMetrics()
 		o.ledger.SetSink(o.registry.RecordProbe)
-		// Scrapeable at /debug/vars when -debug-addr is set.
-		o.registry.Publish("unmasque")
 	}
 }
 
@@ -117,16 +114,19 @@ func (o *obsFlags) finish(appName string, cfg core.Config, ext *core.Extraction)
 			o.registry.Counter("engine_join_builds_reused").Add(ext.Stats.JoinBuildsReused)
 			o.registry.Counter("engine_vector_batches").Add(ext.Stats.VectorBatches)
 		}
-		fmt.Printf("-- metrics: %s\n", o.registry.String())
+		fmt.Println("-- metrics:")
+		if err := telemetry.WritePrometheus(os.Stdout, o.registry); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
-// startDebugServer serves expvar (/debug/vars) and pprof
-// (/debug/pprof) for the lifetime of the extraction. The returned
-// stop function shuts the server down gracefully; startup errors (a
-// busy port, a malformed address) surface on stderr rather than being
-// silently dropped with the goroutine.
+// startDebugServer serves pprof (/debug/pprof) for the lifetime of
+// the extraction. The returned stop function shuts the server down
+// gracefully; startup errors (a busy port, a malformed address)
+// surface on stderr rather than being silently dropped with the
+// goroutine.
 func startDebugServer(addr string) (stop func()) {
 	srv := &http.Server{Addr: addr, Handler: http.DefaultServeMux}
 	errc := make(chan error, 1)
@@ -163,8 +163,9 @@ func validateTrace(path string) error {
 	return nil
 }
 
-// validatePromFile checks a captured /metrics?format=prom scrape
-// against the exposition-format invariants.
+// validatePromFile checks a captured /metrics scrape, or the
+// exposition -metrics prints, against the exposition-format
+// invariants.
 func validatePromFile(path string) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -246,14 +247,14 @@ func attachCache(cacheDir string, cfg *core.Config, ns string) (func(), error) {
 }
 
 // runApp unmasks one registered application.
-func runApp(appName string, seed int64, having, noChecker, stats bool, cacheDir string, ob *obsFlags) error {
-	exe, db, err := registry.Build(appName, seed)
+func runApp(appName string, entry registry.Entry, seed int64, having, noChecker, stats bool, cacheDir string, ob *obsFlags) error {
+	exe, db, err := entry.Build(seed)
 	if err != nil {
 		return fmt.Errorf("setup: %w", err)
 	}
 	cfg := core.DefaultConfig()
 	cfg.Seed = seed
-	cfg.ExtractHaving = having || strings.Contains(appName, "/H")
+	cfg.ExtractHaving = having || entry.Having
 	cfg.SkipChecker = noChecker
 	closeCache, err := attachCache(cacheDir, &cfg, storage.AppNamespace(appName, seed))
 	if err != nil {
@@ -337,7 +338,7 @@ func main() {
 		tracePath  = flag.String("trace", "", "write the probe trace (run header, spans, ledger) as JSONL to this file")
 		chromePath = flag.String("chrome", "", "write the Chrome trace-event export to this file (with -app/-sql, or as -to-chrome output)")
 		metrics    = flag.Bool("metrics", false, "print the metrics registry after extraction")
-		debugAddr  = flag.String("debug-addr", "", "serve expvar and pprof on this address during extraction, e.g. localhost:6060")
+		debugAddr  = flag.String("debug-addr", "", "serve pprof on this address during extraction, e.g. localhost:6060")
 		checkFile  = flag.String("validate-trace", "", "schema-check a previously recorded trace file and exit")
 		promFile   = flag.String("validate-prom", "", "check a captured Prometheus /metrics scrape and exit")
 		streamFile = flag.String("validate-stream", "", "check a captured SSE trace stream and exit")
@@ -397,11 +398,12 @@ func main() {
 		return
 	}
 
-	if _, ok := registry.Lookup(*appName); !ok {
+	entry, ok := registry.Lookup(*appName)
+	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown application %q (try -list)\n", *appName)
 		os.Exit(2)
 	}
-	if err := runApp(*appName, *seed, *having, *noChecker, *stats, *cacheDir, ob); err != nil {
+	if err := runApp(*appName, entry, *seed, *having, *noChecker, *stats, *cacheDir, ob); err != nil {
 		fmt.Fprintf(os.Stderr, "%v\n", err)
 		os.Exit(1)
 	}

@@ -63,9 +63,9 @@
 //	        other package imports log, log/slog or expvar directly.
 //	        Loggers obtained from internal/obs carry job_id/phase
 //	        correlation and honor the daemon's level flag; metrics
-//	        registered through obs.Metrics appear in both the JSON
-//	        and Prometheus expositions of /metrics. Direct stdlib use
-//	        bypasses all of that. Exempt: internal/obs itself (and
+//	        registered through obs.Metrics appear in the Prometheus
+//	        exposition of /metrics. Direct stdlib use bypasses all of
+//	        that. Exempt: internal/obs itself (and
 //	        subpackages) and the opaque application simulations
 //	        (internal/workloads, examples/).
 //	GL010 — file I/O lives in the storage tiers: no library package

@@ -200,14 +200,8 @@ func (e *SQLExecutable) Run(ctx context.Context, db *sqldb.Database) (*sqldb.Res
 func (e *SQLExecutable) Invocations() int64 { return e.runs.Load() }
 
 // SetStartupDelay adds a fixed per-run delay, simulating application
-// startup cost; used by the schema-scaling experiment where probe
-// timeouts must beat slow executions.
+// startup cost.
 func (e *SQLExecutable) SetStartupDelay(d time.Duration) { e.delay = d }
-
-// HiddenSQL exposes the embedded query text. It exists ONLY for
-// ground-truth verification in tests and experiment reports; the
-// extractor must never call it.
-func (e *SQLExecutable) HiddenSQL() string { return Deobfuscate(e.blob) }
 
 // ImperativeFunc is the signature of a hidden imperative routine.
 type ImperativeFunc func(ctx context.Context, db *sqldb.Database) (*sqldb.Result, error)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 	"strings"
@@ -176,9 +177,10 @@ func (s *Session) validateAssembly(stmt *sqldb.SelectStmt) error {
 	return nil
 }
 
-// executeStmt runs an assembled statement under execTimeout.
+// executeStmt runs an assembled statement under the job's context,
+// bounded by execTimeout.
 func (s *Session) executeStmt(stmt *sqldb.SelectStmt, db *sqldb.Database) (*sqldb.Result, error) {
-	ctx, cancel := probeContext(execTimeout)
+	ctx, cancel := context.WithTimeout(s.ctx, execTimeout)
 	defer cancel()
 	return db.Execute(ctx, stmt)
 }

@@ -1,18 +1,11 @@
 package core
 
 import (
-	"context"
 	"fmt"
-	"time"
 
 	"unmasque/internal/sqldb"
 	"unmasque/internal/xdata"
 )
-
-// probeContext builds a cancellable context for one probe execution.
-func probeContext(timeout time.Duration) (context.Context, context.CancelFunc) {
-	return context.WithTimeout(context.Background(), timeout)
-}
 
 // check is the final extraction-checker module (Section 5.5): the
 // application and the assembled Q_E are executed side by side on (a)

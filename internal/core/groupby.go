@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"unmasque/internal/sqldb"
-)
+import "unmasque/internal/sqldb"
 
 // extractGroupBy recovers G_E (Section 5.1). For every candidate
 // attribute a tiny synthetic instance is generated whose invisible
@@ -300,15 +296,4 @@ func (s *Session) groupByContains(col sqldb.ColRef) bool {
 		}
 	}
 	return false
-}
-
-// ensureGroupConsistency double-checks the invariant that equality-
-// pinned columns were excluded; used by tests.
-func (s *Session) ensureGroupConsistency() error {
-	for _, g := range s.groupBy {
-		if s.eqFiltered(g) {
-			return fmt.Errorf("group-by contains equality-pinned column %s", g)
-		}
-	}
-	return nil
 }

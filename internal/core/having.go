@@ -496,13 +496,3 @@ func (s *Session) havingRowBounds(col sqldb.ColRef) (lo, hi sqldb.Value, hasLo, 
 	}
 	return
 }
-
-// havingFor returns the having predicate on a column, if any.
-func (s *Session) havingFor(col sqldb.ColRef) *HavingPredicate {
-	for i := range s.having {
-		if s.having[i].Col == col {
-			return &s.having[i]
-		}
-	}
-	return nil
-}

@@ -3,13 +3,19 @@ package core
 // White-box tests of the pipeline's numeric machinery: the linear
 // solver, the aggregation-separating k selection (direct search vs
 // the closed-form Equation 2 forbidden set), s-value generators and
-// the LIKE pattern expander.
+// the LIKE pattern expander; and of Q_E's execution under the job's
+// context.
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"unmasque/internal/sqldb"
+	"unmasque/internal/sqlparser"
 )
 
 func TestSolveLinearSystemKnown(t *testing.T) {
@@ -290,4 +296,30 @@ func likeMatchForTest(pattern, s string) bool {
 		return res
 	}
 	return dp(0, 0)
+}
+
+// TestExecuteStmtObservesJobContext: Q_E runs under the job's context,
+// so a cancelled job stops the checker's executions too. The engine
+// polls its context every cancelCheckEvery row ticks; the table is
+// larger than that.
+func TestExecuteStmtObservesJobContext(t *testing.T) {
+	db := sqldb.NewDatabase()
+	if err := db.CreateTable(sqldb.TableSchema{Name: "t", Columns: []sqldb.Column{{Name: "a", Type: sqldb.TInt}}}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5000; i++ {
+		if err := db.Insert("t", sqldb.NewInt(int64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stmt, err := sqlparser.Parse("select a from t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	s := newSession(ctx, nil, db, DefaultConfig())
+	if _, err := s.executeStmt(stmt, db); !errors.Is(err, context.Canceled) {
+		t.Fatalf("executeStmt under a cancelled job returned %v, want context.Canceled", err)
+	}
 }

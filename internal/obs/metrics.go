@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
-	"expvar"
 	"sync"
 	"sync/atomic"
 )
@@ -12,9 +10,9 @@ import (
 // *Metrics (observability off) swallows every call, instrument sites
 // included, so the pipeline records unconditionally.
 //
-// The registry serializes to JSON with sorted keys (String), which
-// makes it directly publishable through the standard expvar endpoint
-// (Publish) without any third-party client library.
+// Export copies its state with the metric kinds kept apart; the
+// telemetry package renders that copy as Prometheus text, the
+// registry's one exposition.
 type Metrics struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
@@ -117,27 +115,6 @@ func (m *Metrics) RecordPhases(spans []SpanEvent) {
 	}
 }
 
-// Snapshot renders the registry as a plain map: counters and gauges
-// by value, histograms as {buckets, counts, count, sum_ms}.
-func (m *Metrics) Snapshot() map[string]any {
-	if m == nil {
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := map[string]any{}
-	for name, c := range m.counters {
-		out[name] = c.Value()
-	}
-	for name, g := range m.gauges {
-		out[name] = g.Value()
-	}
-	for name, h := range m.hists {
-		out[name] = h.snapshot()
-	}
-	return out
-}
-
 // HistogramSnapshot is the typed point-in-time state of one
 // histogram: bucket upper bounds, per-bucket (non-cumulative) counts
 // with the overflow bucket last, and the observation count and sum.
@@ -148,11 +125,8 @@ type HistogramSnapshot struct {
 	Sum    float64
 }
 
-// RegistrySnapshot is a typed point-in-time copy of the registry.
-// Unlike Snapshot's generic map — which renders counters and gauges
-// indistinguishably — it preserves the metric kinds, which exposition
-// formats with per-family type declarations (Prometheus TYPE lines)
-// need.
+// RegistrySnapshot is a typed point-in-time copy of the registry. It
+// keeps the metric kinds apart, as the Prometheus TYPE lines need.
 type RegistrySnapshot struct {
 	Counters   map[string]int64
 	Gauges     map[string]int64
@@ -182,30 +156,6 @@ func (m *Metrics) Export() RegistrySnapshot {
 		out.Histograms[name] = h.Snapshot()
 	}
 	return out
-}
-
-// String renders the snapshot as JSON with deterministically sorted
-// keys; it implements expvar.Var.
-func (m *Metrics) String() string {
-	if m == nil {
-		return "{}"
-	}
-	enc, err := json.Marshal(m.Snapshot())
-	if err != nil {
-		return "{}"
-	}
-	return string(enc)
-}
-
-// Publish registers the registry under the given expvar name, making
-// it scrapeable at /debug/vars. Publishing the same name twice panics
-// in expvar, so Publish recovers and keeps the first registration.
-func (m *Metrics) Publish(name string) {
-	if m == nil {
-		return
-	}
-	defer func() { _ = recover() }()
-	expvar.Publish(name, m)
 }
 
 // Counter is a monotonically increasing metric.
@@ -278,52 +228,6 @@ func (h *Histogram) Observe(v float64) {
 	h.sum += v
 }
 
-// Quantile estimates the q-quantile (q in [0,1]) of the recorded
-// observations from the bucket counts: the upper bound of the bucket
-// the target rank falls in, linearly interpolated within the bucket.
-// Observations beyond the last bound report the last bound (the
-// histogram does not track a maximum). Zero observations — or a nil
-// histogram — report 0. The estimate is what the service layer
-// publishes as p50/p99 job latency.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.n == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := q * float64(h.n)
-	var cum float64
-	for i, c := range h.counts {
-		if c == 0 {
-			continue
-		}
-		next := cum + float64(c)
-		if next >= target {
-			if i >= len(h.bounds) {
-				return h.bounds[len(h.bounds)-1]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = h.bounds[i-1]
-			}
-			hi := h.bounds[i]
-			frac := (target - cum) / float64(c)
-			return lo + (hi-lo)*frac
-		}
-		cum = next
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
 // Count reports the number of observations; nil-safe.
 func (h *Histogram) Count() int64 {
 	if h == nil {
@@ -356,16 +260,5 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		Counts: append([]int64(nil), h.counts...),
 		Count:  h.n,
 		Sum:    h.sum,
-	}
-}
-
-func (h *Histogram) snapshot() map[string]any {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return map[string]any{
-		"buckets": append([]float64(nil), h.bounds...),
-		"counts":  append([]int64(nil), h.counts...),
-		"count":   h.n,
-		"sum_ms":  h.sum,
 	}
 }

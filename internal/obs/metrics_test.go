@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
-	"expvar"
 	"sync"
 	"testing"
 )
@@ -33,45 +31,10 @@ func TestMetricsHistogram(t *testing.T) {
 	if h.Sum() != 10003.25 {
 		t.Errorf("sum = %v", h.Sum())
 	}
-	snap := h.snapshot()
-	counts := snap["counts"].([]int64)
+	counts := h.Snapshot().Counts
 	// 0.05 → bucket 0 (≤0.1); 10000 → overflow bucket.
 	if counts[0] != 1 || counts[len(counts)-1] != 1 {
 		t.Errorf("bucket assignment wrong: %v", counts)
-	}
-}
-
-func TestMetricsStringIsValidJSON(t *testing.T) {
-	m := NewMetrics()
-	m.Counter("a").Add(1)
-	m.Gauge("b").Set(2)
-	m.Histogram("c").Observe(1)
-	var decoded map[string]any
-	if err := json.Unmarshal([]byte(m.String()), &decoded); err != nil {
-		t.Fatalf("String() is not JSON: %v", err)
-	}
-	for _, k := range []string{"a", "b", "c"} {
-		if _, ok := decoded[k]; !ok {
-			t.Errorf("key %q missing from %s", k, m.String())
-		}
-	}
-}
-
-func TestMetricsPublish(t *testing.T) {
-	m := NewMetrics()
-	m.Counter("x").Add(9)
-	m.Publish("unmasque_test_metrics")
-	m.Publish("unmasque_test_metrics") // duplicate must not panic
-	v := expvar.Get("unmasque_test_metrics")
-	if v == nil {
-		t.Fatal("metrics not published")
-	}
-	var decoded map[string]any
-	if err := json.Unmarshal([]byte(v.String()), &decoded); err != nil {
-		t.Fatalf("published var is not JSON: %v", err)
-	}
-	if decoded["x"] != float64(9) {
-		t.Errorf("published x = %v", decoded["x"])
 	}
 }
 
@@ -80,15 +43,11 @@ func TestMetricsNilSafety(t *testing.T) {
 	m.Counter("a").Add(1)
 	m.Gauge("b").Set(1)
 	m.Histogram("c").Observe(1)
-	m.Publish("nope")
 	if m.Counter("a").Value() != 0 || m.Gauge("b").Value() != 0 {
 		t.Error("nil registry returned live instruments")
 	}
 	if m.Histogram("c").Count() != 0 || m.Histogram("c").Sum() != 0 {
 		t.Error("nil histogram retained observations")
-	}
-	if m.Snapshot() != nil || m.String() != "{}" {
-		t.Error("nil registry snapshot not empty")
 	}
 }
 

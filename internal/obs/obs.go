@@ -24,8 +24,8 @@
 //     latency histograms. The pipeline never writes it: its probe and
 //     phase metrics are a view of the ledger and the span tree, folded
 //     in by the caller (RecordProbe from a ledger sink, RecordPhases
-//     on the span export). It can publish itself through expvar for
-//     scraping via the standard /debug/vars endpoint.
+//     on the span export). Its one rendering is the Prometheus text
+//     exposition of internal/obs/telemetry.
 //
 // All record-side entry points are nil-receiver safe, so the pipeline
 // instruments unconditionally and pays nothing when observability is

@@ -27,8 +27,8 @@ type PromFamily struct {
 
 // ParsePromText parses and validates a Prometheus text-exposition
 // (0.0.4) document — the round-trip check CI runs against the live
-// daemon's /metrics?format=prom. Beyond syntax, it enforces the
-// invariants scrapers rely on:
+// daemon's /metrics and the CLI's -metrics output. Beyond syntax, it
+// enforces the invariants scrapers rely on:
 //
 //   - every sample belongs to a family declared by a # TYPE line
 //     (this validator checks encoder output, which always declares);

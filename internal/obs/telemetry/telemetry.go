@@ -4,8 +4,8 @@
 //   - prom.go renders an obs.Metrics registry in the Prometheus text
 //     exposition format (0.0.4): counters, gauges and histograms with
 //     cumulative buckets, _sum/_count series and deterministic
-//     family/label ordering, so the daemon's /metrics endpoint is
-//     directly scrapeable.
+//     family/label ordering. It is the registry's one rendering: the
+//     daemon's /metrics serves it and unmasque -metrics prints it.
 //   - promparse.go is the matching parser/validator — CI scrapes the
 //     live daemon and round-trips the text through it, so a format
 //     regression fails the gate rather than a production scrape.

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"net/http"
 	"strconv"
-	"strings"
 
 	"unmasque/internal/obs/telemetry"
 )
@@ -14,12 +13,8 @@ import (
 // Server is the HTTP/JSON face of the Manager.
 //
 //	GET  /healthz          liveness + drain state + jobs-by-state tally
-//	GET  /metrics          service metrics: JSON snapshot by default;
-//	                       Prometheus text exposition (0.0.4) with
-//	                       ?format=prom or an Accept header naming
-//	                       text/plain. Latency quantiles are computed
-//	                       from the job_latency_ms histogram at read
-//	                       time.
+//	GET  /metrics          the metrics registry as Prometheus text
+//	                       exposition (0.0.4)
 //	GET  /jobs             all jobs, submission order
 //	POST /jobs             submit a JobSpec, 202 {"id": n, ...}
 //	GET  /jobs/{id}        status snapshot
@@ -71,40 +66,16 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if wantsProm(r) {
-		// Render to a buffer first so an encoding error (conflicting
-		// family types) can still answer with a clean 500.
-		var buf bytes.Buffer
-		if err := telemetry.WritePrometheus(&buf, s.mgr.metrics); err != nil {
-			writeError(w, http.StatusInternalServerError, err)
-			return
-		}
-		w.Header().Set("Content-Type", telemetry.PromContentType)
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(buf.Bytes())
+	// Render to a buffer first so an encoding error (conflicting
+	// family types) can still answer with a clean 500.
+	var buf bytes.Buffer
+	if err := telemetry.WritePrometheus(&buf, s.mgr.metrics); err != nil {
+		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	snap := s.mgr.metrics.Snapshot()
-	if snap != nil {
-		// Latency quantiles derive from the histogram at read time
-		// rather than being materialized into gauges on every job end.
-		if h := s.mgr.metrics.Histogram("job_latency_ms"); h.Count() > 0 {
-			snap["job_latency_p50_ms"] = h.Quantile(0.50)
-			snap["job_latency_p99_ms"] = h.Quantile(0.99)
-		}
-	}
-	writeJSON(w, http.StatusOK, snap)
-}
-
-// wantsProm reports whether the request asked for Prometheus text
-// exposition: ?format=prom, or an Accept header naming text/plain
-// (the Prometheus scraper's preference) rather than JSON.
-func wantsProm(r *http.Request) bool {
-	if r.URL.Query().Get("format") == "prom" {
-		return true
-	}
-	accept := r.Header.Get("Accept")
-	return strings.Contains(accept, "text/plain") || strings.Contains(accept, "openmetrics")
+	w.Header().Set("Content-Type", telemetry.PromContentType)
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(buf.Bytes())
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {

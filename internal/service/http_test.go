@@ -177,3 +177,71 @@ func TestHTTPEndToEnd(t *testing.T) {
 		t.Errorf("post-drain submit: %d, want 503", resp.StatusCode)
 	}
 }
+
+// TestTraceOfUnstartedAndRecoveredJobs: a job cancelled while queued
+// serves a trace of its run header alone, which the trace validator
+// accepts; after a restart the same job is history from an earlier
+// daemon instance and its trace answers 404.
+func TestTraceOfUnstartedAndRecoveredJobs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	service.BlockJobsNamed(t, "slow")
+	ctx := context.Background()
+	store := filepath.Join(t.TempDir(), "jobs.jsonl")
+	traceOf := func(mgr *service.Manager, id int64) (int, []byte) {
+		t.Helper()
+		srv := httptest.NewServer(service.NewServer(mgr))
+		defer srv.Close()
+		resp, err := http.Get(fmt.Sprintf("%s/jobs/%d/trace", srv.URL, id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode, body
+	}
+
+	mgr, err := service.Start(ctx, service.Config{Workers: 1, StorePath: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slow, err := mgr.Submit(ctx, inlineSpec("slow"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, mgr, slow.ID, func(s service.State) bool { return s == service.StateRunning }, "running")
+	queued, err := mgr.Submit(ctx, inlineSpec("never-started"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mgr.Cancel(ctx, queued.ID); err != nil {
+		t.Fatal(err)
+	}
+	code, body := traceOf(mgr, queued.ID)
+	if code != http.StatusOK {
+		t.Fatalf("trace of a job cancelled while queued: %d %s", code, body)
+	}
+	sum, err := obs.Validate(bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("header-only trace does not validate: %v\n%s", err, body)
+	}
+	if len(sum.Apps) != 1 || sum.Apps[0] != "never-started" || sum.Spans != 0 || sum.Probes != 0 {
+		t.Errorf("trace of a job that never ran: %+v", sum)
+	}
+	if _, err := mgr.Cancel(ctx, slow.ID); err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	restarted, err := service.Start(ctx, service.Config{Workers: 1, StorePath: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restarted.Drain(ctx)
+	if code, body := traceOf(restarted, queued.ID); code != http.StatusNotFound {
+		t.Errorf("trace of a recovered job: %d %s, want 404", code, body)
+	}
+}

@@ -54,10 +54,9 @@ type Job struct {
 	errMsg  string
 	stats   core.Stats
 
-	// Per-job observability: the span tracer and probe ledger attached
-	// to the extraction, from which the trace endpoint serves its
-	// JSONL download.
-	tracer *obs.Tracer
+	// Per-job observability: the probe ledger attached to the
+	// extraction and the span tree exported at its end, from which the
+	// trace endpoint serves its JSONL download.
 	ledger *obs.Ledger
 	trace  []obs.SpanEvent
 

@@ -13,6 +13,7 @@ import (
 	"unmasque/internal/obs"
 	"unmasque/internal/obs/telemetry"
 	"unmasque/internal/storage"
+	"unmasque/internal/workloads/registry"
 )
 
 // Config tunes the Manager.
@@ -35,7 +36,7 @@ type Config struct {
 	// per-job in-memory cache still runs).
 	CacheDir string
 	// Metrics receives service-level metrics — queue depth, jobs by
-	// state, job latency quantiles — plus a view of every extraction's
+	// state, the job latency histogram — plus a view of every extraction's
 	// own records: its probe counters, folded in from its ledger as
 	// each probe lands, its phase_ms histograms from its span tree at
 	// the terminal transition, and the engine_* counters of a done
@@ -214,14 +215,14 @@ func (m *Manager) runJob(ctx context.Context, j *Job) {
 	m.running++
 	j.started = time.Now()
 	j.cancel = cancel
-	j.tracer = obs.NewTracer("extract")
+	tracer := obs.NewTracer("extract")
 	j.ledger = obs.NewLedger()
 	// Live telemetry: every span open/close and probe record fans out
 	// to the job's SSE stream as it happens, and every probe record
 	// into the registry. stream is write-once at admission, so reading
 	// it outside the lock is safe.
 	stream := j.stream
-	j.tracer.SetSink(func(e obs.SpanEvent) { stream.Publish(e) })
+	tracer.SetSink(func(e obs.SpanEvent) { stream.Publish(e) })
 	j.ledger.SetSink(func(e obs.ProbeEvent) {
 		stream.Publish(e)
 		m.metrics.RecordProbe(e)
@@ -234,11 +235,11 @@ func (m *Manager) runJob(ctx context.Context, j *Job) {
 	stream.Publish(obs.JobEvent{Type: obs.TypeJob, ID: j.id, State: string(StateRunning)})
 	m.logger.WithJob(j.id).Info("job started", "name", spec.DisplayName())
 
-	exe, db, err := spec.Materialize()
+	exe, db, err := materialize(spec)
 	var ext *core.Extraction
 	if err == nil {
 		cfg := jobConfig(spec)
-		cfg.Tracer = j.tracer
+		cfg.Tracer = tracer
 		cfg.Ledger = j.ledger
 		if m.probeCache != nil {
 			// The daemon-wide durable tier, scoped to this job's
@@ -270,13 +271,13 @@ func (m *Manager) runJob(ctx context.Context, j *Job) {
 	case j.cancelRequested && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)):
 		j.state = StateCancelled
 		j.errMsg = err.Error()
-		j.trace = j.tracer.Events()
+		j.trace = tracer.Events()
 		rec.State, rec.Err = StateCancelled, j.errMsg
 		m.metrics.Counter("jobs_cancelled").Add(1)
 	default:
 		j.state = StateFailed
 		j.errMsg = err.Error()
-		j.trace = j.tracer.Events()
+		j.trace = tracer.Events()
 		rec.State, rec.Err = StateFailed, j.errMsg
 		m.metrics.Counter("jobs_failed").Add(1)
 	}
@@ -301,10 +302,12 @@ func (m *Manager) runJob(ctx context.Context, j *Job) {
 		log.Warn("job "+string(state), "err", errMsg)
 	}
 
-	// Latency quantiles are derived from this histogram at scrape time
-	// (/metrics), not materialized into gauges here.
 	m.metrics.Histogram("job_latency_ms").Observe(float64(latency.Microseconds()) / 1e3)
 }
+
+// materialize builds a job's executable and database; tests swap in a
+// job that blocks until it is cancelled.
+var materialize = JobSpec.Materialize
 
 // jobConfig maps the spec's knobs onto the pipeline configuration.
 func jobConfig(spec JobSpec) core.Config {
@@ -312,7 +315,8 @@ func jobConfig(spec JobSpec) core.Config {
 	if spec.Seed != 0 {
 		cfg.Seed = spec.Seed
 	}
-	cfg.ExtractHaving = spec.Having
+	entry, _ := registry.Lookup(spec.App)
+	cfg.ExtractHaving = spec.Having || entry.Having
 	if spec.Workers > 0 {
 		cfg.Workers = spec.Workers
 	}
@@ -406,8 +410,9 @@ func (m *Manager) List() []View {
 
 // WriteTrace serializes the job's recorded trace — run header, span
 // tree, canonical probe ledger — as JSONL. Only terminal jobs have a
-// stable trace; traces are process-local (not recovered from the
-// store), so jobs replayed from a previous daemon instance have none.
+// stable trace; a job cancelled before it started has the header
+// alone. Traces are process-local (not recovered from the store), so
+// jobs replayed from a previous daemon instance have none.
 func (m *Manager) WriteTrace(id int64, w io.Writer) error {
 	m.mu.Lock()
 	j, ok := m.jobs[id]
@@ -419,7 +424,7 @@ func (m *Manager) WriteTrace(id int64, w io.Writer) error {
 		m.mu.Unlock()
 		return ErrNotFinished
 	}
-	if j.tracer == nil {
+	if j.stream == nil {
 		m.mu.Unlock()
 		return fmt.Errorf("%w: job predates this daemon instance", ErrUnknownJob)
 	}

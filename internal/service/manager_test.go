@@ -137,22 +137,19 @@ func TestManagerConcurrentJobs(t *testing.T) {
 	if got := met.Histogram("job_latency_ms").Count(); got != n {
 		t.Errorf("latency histogram has %d observations, want %d", got, n)
 	}
-	h := met.Histogram("job_latency_ms")
-	if p50, p99 := h.Quantile(0.50), h.Quantile(0.99); p50 > p99 {
-		t.Errorf("latency quantiles inverted: p50 %v > p99 %v", p50, p99)
-	}
 }
 
 // TestManagerBackpressureAndCancel drives the admission-control and
-// cancellation paths with a single worker: a long job occupies the
-// pool, a filler fills the depth-1 queue, the next submission bounces
-// with ErrQueueFull; the queued filler cancels in place, the running
-// job cancels via its context, and the manager keeps serving
-// afterwards until drain.
+// cancellation paths with a single worker: a job that blocks until
+// cancelled occupies the pool, a filler fills the depth-1 queue, the
+// next submission bounces with ErrQueueFull; the queued filler cancels
+// in place, the running job cancels via its context, and the manager
+// keeps serving afterwards until drain.
 func TestManagerBackpressureAndCancel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
+	service.BlockJobsNamed(t, "slow")
 	ctx := context.Background()
 	met := obs.NewMetrics()
 	mgr, err := service.Start(ctx, service.Config{Workers: 1, QueueDepth: 1, Metrics: met})
@@ -160,8 +157,7 @@ func TestManagerBackpressureAndCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A full TPC-H extraction keeps the lone worker busy for seconds.
-	slow, err := mgr.Submit(ctx, service.JobSpec{App: "tpch/Q3"})
+	slow, err := mgr.Submit(ctx, inlineSpec("slow"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,12 +320,13 @@ func TestManagerHardDrain(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
+	service.BlockJobsNamed(t, "slow")
 	ctx := context.Background()
 	mgr, err := service.Start(ctx, service.Config{Workers: 1, QueueDepth: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := mgr.Submit(ctx, service.JobSpec{App: "tpch/Q10"})
+	slow, err := mgr.Submit(ctx, inlineSpec("slow"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,8 +341,8 @@ func TestManagerHardDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.State != service.StateCancelled && v.State != service.StateDone {
-		t.Fatalf("after hard drain job is %s, want cancelled (or done if it raced)", v.State)
+	if v.State != service.StateCancelled {
+		t.Fatalf("after hard drain job is %s, want cancelled", v.State)
 	}
 }
 

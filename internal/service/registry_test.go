@@ -8,22 +8,25 @@ import (
 	"strings"
 	"testing"
 
+	"unmasque/internal/core"
 	"unmasque/internal/obs"
 	"unmasque/internal/service"
+	"unmasque/internal/workloads/registry"
 )
 
 // TestRegistryIsLedgerView: the manager's metrics registry holds no
 // probe or phase fact of its own. After a done job, a failed one
-// (tpch/H3 in having mode), one cancelled while running and a repeat
-// served from the durable cache, every probe counter and histogram
-// count equals the tally of the jobs' own traces, engine_* equals the
-// sum over the done jobs' Stats, and the manager's lifecycle records
+// (tpch/H3), one cancelled while running and a repeat served from
+// the durable cache, every probe counter and histogram count equals
+// the tally of the jobs' own traces, engine_* equals the sum over the
+// done jobs' Stats, and the manager's lifecycle records
 // are the only log: a done job's carries its time and invocations, a
 // failed job's error names its phase.
 func TestRegistryIsLedgerView(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
+	service.BlockJobsNamed(t, "slow")
 	ctx := context.Background()
 	met := obs.NewMetrics()
 	var logBuf bytes.Buffer
@@ -49,8 +52,8 @@ func TestRegistryIsLedgerView(t *testing.T) {
 	done := submit(service.JobSpec{App: "enki/posts_by_tag"})
 	want[done] = service.StateDone
 	waitTerminal(t, mgr, done)
-	want[submit(service.JobSpec{App: "tpch/H3", Having: true})] = service.StateFailed
-	slow := submit(service.JobSpec{App: "tpch/Q5", Workers: 1})
+	want[submit(service.JobSpec{App: "tpch/H3"})] = service.StateFailed
+	slow := submit(inlineSpec("slow"))
 	want[slow] = service.StateCancelled
 	waitState(t, mgr, slow, func(s service.State) bool { return s == service.StateRunning }, "running")
 	if _, err := mgr.Cancel(ctx, slow); err != nil {
@@ -151,6 +154,49 @@ func TestRegistryIsLedgerView(t *testing.T) {
 			}
 		default:
 			t.Errorf("unexpected log record: %s", line)
+		}
+	}
+}
+
+// TestHavingAppsExtractThroughDaemon: a job that names a Section 7
+// application runs the having pipeline without asking for it, and
+// returns the SQL of the CLI's extraction (the entry's own having
+// flag, the default config).
+func TestHavingAppsExtractThroughDaemon(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	ctx := context.Background()
+	mgr, err := service.Start(ctx, service.Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr.Drain(ctx)
+	for _, name := range []string{"tpch/H1", "tpch/H2"} {
+		v, err := mgr.Submit(ctx, service.JobSpec{App: name})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v := waitTerminal(t, mgr, v.ID); v.State != service.StateDone {
+			t.Fatalf("%s ended %s (%s), want done", name, v.State, v.Error)
+		}
+		res, err := mgr.Result(v.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		entry, _ := registry.Lookup(name)
+		exe, db, err := entry.Build(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := core.DefaultConfig()
+		cfg.ExtractHaving = entry.Having
+		ext, err := core.Extract(exe, db, cfg)
+		if err != nil {
+			t.Fatalf("%s through the CLI's config: %v", name, err)
+		}
+		if res.SQL != ext.SQL {
+			t.Errorf("%s: daemon SQL\n%s\nCLI SQL\n%s", name, res.SQL, ext.SQL)
 		}
 	}
 }

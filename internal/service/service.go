@@ -22,11 +22,12 @@
 //     application or an inline schema+rows+hidden-SQL spec), status,
 //     result, per-job trace download (the internal/obs JSONL format),
 //     list, cancel, /healthz and /metrics.
-//   - Observability (wired throughout): every job carries its own
-//     obs.Tracer and obs.Ledger — downloadable while the job is
-//     terminal — and the Manager publishes service-level metrics
-//     (queue depth, jobs by state, p50/p99 job latency) through an
-//     internal/obs registry, expvar-scrapeable.
+//   - Observability (wired throughout): every job records its own
+//     span tree and obs.Ledger — downloadable once the job is
+//     terminal — and the Manager keeps service-level metrics (queue
+//     depth, jobs by state, the job latency histogram) in an
+//     internal/obs registry, which /metrics serves as Prometheus
+//     text.
 //
 // cmd/unmasqued is the daemon binary; see DESIGN.md §9 for the state
 // machine, API schema and durability format.

@@ -36,7 +36,8 @@ type JobSpec struct {
 	// Seed drives data generation and extraction randomness
 	// (default 1).
 	Seed int64 `json:"seed,omitempty"`
-	// Having selects the Section 7 pipeline.
+	// Having selects the Section 7 pipeline. Registered applications
+	// that registry.Entry.Having marks run it regardless.
 	Having bool `json:"having,omitempty"`
 	// Workers overrides the per-extraction probe worker pool (0 =
 	// pipeline default).

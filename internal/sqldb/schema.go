@@ -2,7 +2,6 @@ package sqldb
 
 import (
 	"fmt"
-	"math"
 	"strings"
 	"time"
 )
@@ -239,11 +238,4 @@ func (g SchemaGraph) EdgesWithin(tables map[string]bool) []SchemaEdge {
 		}
 	}
 	return out
-}
-
-// MaxFloat returns the largest representable value of a float column
-// at its precision within the integral domain; used by probe
-// construction.
-func (c Column) MaxFloat() float64 {
-	return float64(c.DomainMax()) + 1 - math.Pow10(-c.FloatPrecision())
 }

@@ -28,6 +28,11 @@ import (
 // application. Building is deferred because instantiating a workload
 // database is costly and most callers touch a single entry.
 type Entry struct {
+	// Having marks the Section 7 applications, whose hidden query
+	// filters groups with HAVING: the CLI and the daemon extract them
+	// with the having pipeline.
+	Having bool
+
 	build func(seed int64) (app.Executable, *sqldb.Database, error)
 }
 
@@ -44,10 +49,10 @@ var catalogue = buildCatalogue()
 func buildCatalogue() map[string]Entry {
 	reg := map[string]Entry{}
 
-	addSQL := func(prefix string, queries map[string]string, mkDB func(seed int64, q map[string]string) (*sqldb.Database, error)) {
+	addSQL := func(prefix string, queries map[string]string, having bool, mkDB func(seed int64, q map[string]string) (*sqldb.Database, error)) {
 		for name, sql := range queries {
 			name, sql := name, sql
-			reg[prefix+"/"+name] = Entry{build: func(seed int64) (app.Executable, *sqldb.Database, error) {
+			reg[prefix+"/"+name] = Entry{Having: having, build: func(seed int64) (app.Executable, *sqldb.Database, error) {
 				db, err := mkDB(seed, map[string]string{name: sql})
 				if err != nil {
 					return nil, nil, err
@@ -57,19 +62,17 @@ func buildCatalogue() map[string]Entry {
 			}}
 		}
 	}
-	addSQL("tpch", tpch.HiddenQueries(), func(seed int64, q map[string]string) (*sqldb.Database, error) {
+	tpchDB := func(seed int64, q map[string]string) (*sqldb.Database, error) {
 		db := tpch.NewDatabase(tpch.ScaleTiny*8, seed)
 		return db, tpch.PlantWitnesses(db, q)
-	})
-	addSQL("tpch", tpch.HavingQueries(), func(seed int64, q map[string]string) (*sqldb.Database, error) {
-		db := tpch.NewDatabase(tpch.ScaleTiny*8, seed)
-		return db, tpch.PlantWitnesses(db, q)
-	})
-	addSQL("tpcds", tpcds.HiddenQueries(), func(seed int64, q map[string]string) (*sqldb.Database, error) {
+	}
+	addSQL("tpch", tpch.HiddenQueries(), false, tpchDB)
+	addSQL("tpch", tpch.HavingQueries(), true, tpchDB)
+	addSQL("tpcds", tpcds.HiddenQueries(), false, func(seed int64, q map[string]string) (*sqldb.Database, error) {
 		db := tpcds.NewDatabase(tpcds.ScaleTiny, seed)
 		return db, tpcds.PlantWitnesses(db, q)
 	})
-	addSQL("job", job.HiddenQueries(), func(seed int64, q map[string]string) (*sqldb.Database, error) {
+	addSQL("job", job.HiddenQueries(), false, func(seed int64, q map[string]string) (*sqldb.Database, error) {
 		db := job.NewDatabase(job.ScaleTiny, seed)
 		return db, job.PlantWitnesses(db, q)
 	})

@@ -54,3 +54,17 @@ func TestDatabaseFingerprintGolden(t *testing.T) {
 	}
 	t.Fatalf("D_I fingerprint list changed: %d lines, want %d", len(gl), len(wl))
 }
+
+// TestHavingEntries: exactly the Section 7 applications are marked
+// for the having pipeline.
+func TestHavingEntries(t *testing.T) {
+	var marked []string
+	for _, name := range registry.Names() {
+		if e, _ := registry.Lookup(name); e.Having {
+			marked = append(marked, name)
+		}
+	}
+	if fmt.Sprint(marked) != "[tpch/H1 tpch/H2 tpch/H3]" {
+		t.Errorf("having entries %v, want [tpch/H1 tpch/H2 tpch/H3]", marked)
+	}
+}

@@ -159,8 +159,8 @@ type (
 	Tracer = obs.Tracer
 	// Ledger records one event per executable invocation or cache hit.
 	Ledger = obs.Ledger
-	// Metrics is the counters/gauges/histograms registry (expvar-
-	// publishable).
+	// Metrics is the counters/gauges/histograms registry, rendered as
+	// Prometheus text.
 	Metrics = obs.Metrics
 	// SpanEvent is one flattened span of an exported trace.
 	SpanEvent = obs.SpanEvent
