@@ -12,10 +12,12 @@
 # engine harness (the vector engine against the test-only
 # tree-walking oracle, plus the golden TPC-H extraction pins), every
 # fuzz target in smoke mode, an end-to-end traced extraction whose
-# JSONL output is schema-validated, the daemon and telemetry
-# end-to-ends (the daemon's /metrics and the CLI's -metrics output
-# both parse as Prometheus text and agree with the run's ledger or
-# profile), the durable probe-cache end-to-ends (a cold then warm
+# JSONL output is schema-validated and converted to Chrome trace-event
+# JSON, the daemon and telemetry end-to-ends (the daemon's /metrics
+# and the CLI's -metrics output both parse as Prometheus text and
+# agree with the run's ledger or profile, and a job's SSE stream
+# carries the spans and probes of its trace download once each), the
+# durable probe-cache end-to-ends (a cold then warm
 # one-shot CLI run on one -cache-dir, and a warm-daemon restart on a
 # cache directory), and a coverage gate on the load-bearing packages.
 # Any failure stops the gate.
@@ -111,12 +113,14 @@ go test -fuzz='^FuzzExecDiff$' -fuzztime=5s -run='^$' ./internal/sqldb
 
 # Trace end-to-end: one real extraction with the observability layer
 # on, then schema-validate the JSONL it produced (first line must be
-# the run header; every probe line must pass the obs validator).
+# the run header; every probe line must pass the obs validator), and
+# convert it with -to-chrome, the one Chrome export path, which must
+# yield trace events.
 echo "== trace end-to-end"
 trace_file=$(mktemp /tmp/unmasque-trace.XXXXXX)
 e2e_dir=$(mktemp -d /tmp/unmasqued-e2e.XXXXXX)
 cleanup() {
-    rm -f "$trace_file"
+    rm -f "$trace_file" "$trace_file.chrome.json"
     rm -rf "$e2e_dir"
     if [ -n "${daemon_pid:-}" ]; then
         kill "$daemon_pid" 2>/dev/null || true
@@ -125,6 +129,11 @@ cleanup() {
 trap cleanup EXIT
 go run ./cmd/unmasque -app enki/posts_by_tag -trace "$trace_file" >/dev/null
 go run ./cmd/unmasque -validate-trace "$trace_file"
+go run ./cmd/unmasque -to-chrome "$trace_file"
+jq -e '.traceEvents | length > 0' "$trace_file.chrome.json" >/dev/null || {
+    echo "trace e2e: -to-chrome wrote no trace events" >&2
+    exit 1
+}
 
 # Daemon end-to-end: boot unmasqued on a random port, submit a
 # registered application over HTTP, poll the job to completion, and
@@ -180,7 +189,8 @@ go run ./cmd/unmasque -validate-trace "$e2e_dir/trace.jsonl"
 # far (the registry is a view of the jobs' ledgers), (c) a live SSE
 # subscription opened on a just-submitted job must replay+stream
 # frames that pass the stream validator and end at a terminal
-# lifecycle state.
+# lifecycle state, (d) the stream carries each span and probe once: its
+# spans= and probes= tallies equal those of the job's trace download.
 echo "== telemetry end-to-end (prom scrape + live SSE)"
 curl -sf "http://$addr/metrics" > "$e2e_dir/metrics.prom"
 go run ./cmd/unmasque -validate-prom "$e2e_dir/metrics.prom"
@@ -202,7 +212,17 @@ sse_id=$(curl -sf -X POST "http://$addr/jobs" -d '{"app":"enki/posts_by_tag"}' |
 # The stream closes itself when the job reaches a terminal state;
 # --max-time only guards against a hung stream.
 curl -s --max-time 120 "http://$addr/jobs/$sse_id/trace/stream" > "$e2e_dir/stream.sse"
-go run ./cmd/unmasque -validate-stream "$e2e_dir/stream.sse"
+stream_sum=$(go run ./cmd/unmasque -validate-stream "$e2e_dir/stream.sse")
+echo "$stream_sum"
+curl -sf "http://$addr/jobs/$sse_id/trace" > "$e2e_dir/sse-trace.jsonl"
+trace_sum=$(go run ./cmd/unmasque -validate-trace "$e2e_dir/sse-trace.jsonl")
+echo "$trace_sum"
+stream_counts=$(printf '%s\n' "$stream_sum" | grep -o 'spans=[0-9]* probes=[0-9]*' || true)
+trace_counts=$(printf '%s\n' "$trace_sum" | grep -o 'spans=[0-9]* probes=[0-9]*' || true)
+if [ -z "$stream_counts" ] || [ "$stream_counts" != "$trace_counts" ]; then
+    echo "telemetry e2e: stream carries '$stream_counts', its trace '$trace_counts'" >&2
+    exit 1
+fi
 kill -TERM "$daemon_pid"
 wait "$daemon_pid"
 daemon_pid=

@@ -13,15 +13,14 @@
 //	unmasque -app tpch/H1                   # Section 7 pipeline (tpch/H1-H3)
 //	unmasque -app tpch/Q3 -trace out.jsonl  # record the probe trace
 //	unmasque -app tpch/Q3 -metrics          # print the metrics as Prometheus text
-//	unmasque -app tpch/Q3 -chrome t.json    # Chrome trace-event export
-//	unmasque -to-chrome out.jsonl           # convert a recorded trace
+//	unmasque -to-chrome out.jsonl           # Chrome trace-event export of a trace
 //	unmasque -validate-trace out.jsonl      # schema-check a trace file
 //	unmasque -validate-prom scrape.prom     # check a /metrics scrape or -metrics output
 //	unmasque -validate-stream capture.sse   # check an SSE stream capture
 //	unmasque -app tpch/Q3 -cache-dir d      # durable cross-run probe cache
 //
-// The -chrome / -to-chrome outputs open directly in about://tracing
-// and https://ui.perfetto.dev.
+// The -to-chrome output (out.jsonl.chrome.json) opens directly in
+// about://tracing and https://ui.perfetto.dev.
 package main
 
 import (
@@ -46,11 +45,10 @@ import (
 
 // obsFlags holds the observability command-line surface.
 type obsFlags struct {
-	tracePath  string // -trace: write the JSONL probe trace here
-	chromePath string // -chrome: write the Chrome trace-event export here
-	metrics    bool   // -metrics: print the metrics registry after extraction
-	ledger     *obs.Ledger
-	registry   *obs.Metrics
+	tracePath string // -trace: write the JSONL probe trace here
+	metrics   bool   // -metrics: print the metrics registry after extraction
+	ledger    *obs.Ledger
+	registry  *obs.Metrics
 }
 
 // attach wires the requested observability hooks into the pipeline
@@ -58,7 +56,7 @@ type obsFlags struct {
 // records one too and folds each probe event into the registry as it
 // lands.
 func (o *obsFlags) attach(cfg *core.Config) {
-	if o.tracePath != "" || o.chromePath != "" || o.metrics {
+	if o.tracePath != "" || o.metrics {
 		cfg.Tracer = obs.NewTracer("extract")
 		o.ledger = obs.NewLedger()
 		cfg.Ledger = o.ledger
@@ -93,20 +91,6 @@ func (o *obsFlags) finish(appName string, cfg core.Config, ext *core.Extraction)
 			return err
 		}
 		fmt.Printf("-- trace: %d spans, %d probe events -> %s\n", len(spans), o.ledger.Len(), o.tracePath)
-	}
-	if o.chromePath != "" {
-		f, err := os.Create(o.chromePath)
-		if err != nil {
-			return err
-		}
-		if err := telemetry.WriteCatapult(f, header, spans, o.ledger.Events()); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("-- chrome trace -> %s (open in about://tracing or ui.perfetto.dev)\n", o.chromePath)
 	}
 	if o.metrics {
 		o.registry.RecordPhases(spans)
@@ -201,11 +185,9 @@ func validateStreamFile(path string) error {
 }
 
 // traceToChrome converts a recorded JSONL trace into Chrome
-// trace-event JSON at outPath (default: inPath + ".chrome.json").
-func traceToChrome(inPath, outPath string) error {
-	if outPath == "" {
-		outPath = inPath + ".chrome.json"
-	}
+// trace-event JSON at inPath + ".chrome.json".
+func traceToChrome(inPath string) error {
+	outPath := inPath + ".chrome.json"
 	in, err := os.Open(inPath)
 	if err != nil {
 		return err
@@ -336,13 +318,12 @@ func main() {
 		noChecker  = flag.Bool("no-checker", false, "skip the final verification module")
 		cacheDir   = flag.String("cache-dir", "", "durable probe-cache directory; repeat extractions of the same app+seed reuse recorded application outcomes")
 		tracePath  = flag.String("trace", "", "write the probe trace (run header, spans, ledger) as JSONL to this file")
-		chromePath = flag.String("chrome", "", "write the Chrome trace-event export to this file (with -app/-sql, or as -to-chrome output)")
 		metrics    = flag.Bool("metrics", false, "print the metrics registry after extraction")
 		debugAddr  = flag.String("debug-addr", "", "serve pprof on this address during extraction, e.g. localhost:6060")
 		checkFile  = flag.String("validate-trace", "", "schema-check a previously recorded trace file and exit")
 		promFile   = flag.String("validate-prom", "", "check a captured Prometheus /metrics scrape and exit")
 		streamFile = flag.String("validate-stream", "", "check a captured SSE trace stream and exit")
-		toChrome   = flag.String("to-chrome", "", "convert a recorded JSONL trace to Chrome trace-event JSON and exit")
+		toChrome   = flag.String("to-chrome", "", "convert a recorded JSONL trace to Chrome trace-event JSON (<trace>.chrome.json) and exit")
 	)
 	flag.Parse()
 
@@ -367,7 +348,7 @@ func main() {
 			}
 		}
 		if *toChrome != "" {
-			if err := traceToChrome(*toChrome, *chromePath); err != nil {
+			if err := traceToChrome(*toChrome); err != nil {
 				fail(err)
 			}
 		}
@@ -377,7 +358,7 @@ func main() {
 		stop := startDebugServer(*debugAddr)
 		defer stop()
 	}
-	ob := &obsFlags{tracePath: *tracePath, chromePath: *chromePath, metrics: *metrics}
+	ob := &obsFlags{tracePath: *tracePath, metrics: *metrics}
 
 	if *adhocSQL != "" {
 		if err := runAdhoc(*workload, *adhocSQL, *seed, *having, *noChecker, *stats, *cacheDir, ob); err != nil {

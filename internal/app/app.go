@@ -87,8 +87,8 @@ func (e *Serialized) Run(ctx context.Context, db *sqldb.Database) (*sqldb.Result
 // any executable safe.
 func (e *Serialized) ConcurrentRunSafe() bool { return true }
 
-// ErrTimeout is returned by RunCtx/RunWithTimeout when the executable
-// did not finish within the probe deadline.
+// ErrTimeout is returned by RunCtx when the executable did not finish
+// within the probe deadline.
 var ErrTimeout = errors.New("application execution timed out")
 
 // RunCtx executes e under both the caller's context and a per-run
@@ -108,13 +108,6 @@ func RunCtx(ctx context.Context, e Executable, db *sqldb.Database, timeout time.
 		return nil, ErrTimeout
 	}
 	return res, err
-}
-
-// RunWithTimeout executes e with a deadline. The from-clause probe
-// uses a short timeout: a missing table produces an immediate error,
-// while an unaffected application keeps running and is cut off.
-func RunWithTimeout(e Executable, db *sqldb.Database, timeout time.Duration) (*sqldb.Result, error) {
-	return RunCtx(context.Background(), e, db, timeout)
 }
 
 // obfuscationKey scrambles embedded SQL at rest. The point is not
@@ -148,7 +141,6 @@ func Deobfuscate(blob []byte) string {
 type SQLExecutable struct {
 	name  string
 	blob  []byte
-	runs  atomic.Int64
 	delay time.Duration
 }
 
@@ -180,7 +172,6 @@ func (e *SQLExecutable) Name() string { return e.name }
 
 // Run decodes, parses and executes the hidden query.
 func (e *SQLExecutable) Run(ctx context.Context, db *sqldb.Database) (*sqldb.Result, error) {
-	e.runs.Add(1)
 	if e.delay > 0 {
 		select {
 		case <-time.After(e.delay):
@@ -195,10 +186,6 @@ func (e *SQLExecutable) Run(ctx context.Context, db *sqldb.Database) (*sqldb.Res
 	return db.Execute(ctx, stmt)
 }
 
-// Invocations reports how many times the application has been run —
-// the E-invocation count of Section 6.2's efficiency discussion.
-func (e *SQLExecutable) Invocations() int64 { return e.runs.Load() }
-
 // SetStartupDelay adds a fixed per-run delay, simulating application
 // startup cost.
 func (e *SQLExecutable) SetStartupDelay(d time.Duration) { e.delay = d }
@@ -212,7 +199,6 @@ type ImperativeExecutable struct {
 	name      string
 	fn        ImperativeFunc
 	groundSQL string
-	runs      atomic.Int64
 }
 
 // NewImperativeExecutable builds an imperative application.
@@ -226,19 +212,16 @@ func (e *ImperativeExecutable) Name() string { return e.name }
 
 // Run implements Executable.
 func (e *ImperativeExecutable) Run(ctx context.Context, db *sqldb.Database) (*sqldb.Result, error) {
-	e.runs.Add(1)
 	return e.fn(ctx, db)
 }
-
-// Invocations reports the number of runs.
-func (e *ImperativeExecutable) Invocations() int64 { return e.runs.Load() }
 
 // GroundTruthSQL returns the reference query (may be empty). Tests
 // only.
 func (e *ImperativeExecutable) GroundTruthSQL() string { return e.groundSQL }
 
-// CountingExecutable wraps any executable and counts invocations;
-// the extractor statistics use it for third-party executables.
+// CountingExecutable wraps any executable and counts invocations —
+// the E-invocation count of Section 6.2's efficiency discussion. Every
+// extraction runs its executable through one.
 type CountingExecutable struct {
 	Inner Executable
 	runs  atomic.Int64

@@ -51,9 +51,6 @@ func TestSQLExecutableRun(t *testing.T) {
 	if res.RowCount() != 2 {
 		t.Errorf("got %d rows", res.RowCount())
 	}
-	if e.Invocations() != 1 {
-		t.Errorf("invocations = %d", e.Invocations())
-	}
 }
 
 func TestSQLExecutableValidatesEagerly(t *testing.T) {
@@ -69,7 +66,7 @@ func TestRunWithTimeoutMissingTableErrorsFast(t *testing.T) {
 	}
 	e := MustSQLExecutable("probe", "select x from t")
 	start := time.Now()
-	_, err := RunWithTimeout(e, db, 5*time.Second)
+	_, err := RunCtx(context.Background(), e, db, 5*time.Second)
 	if !errors.Is(err, sqldb.ErrNoSuchTable) {
 		t.Fatalf("want ErrNoSuchTable, got %v", err)
 	}
@@ -82,7 +79,7 @@ func TestRunWithTimeoutCutsOffSlowApp(t *testing.T) {
 	db := tinyDB(t)
 	e := MustSQLExecutable("slow", "select x from t")
 	e.SetStartupDelay(500 * time.Millisecond)
-	_, err := RunWithTimeout(e, db, 20*time.Millisecond)
+	_, err := RunCtx(context.Background(), e, db, 20*time.Millisecond)
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("want ErrTimeout, got %v", err)
 	}

@@ -2,10 +2,10 @@ package bench
 
 // E16: full-pipeline overhead of the telemetry stack. Three TPC-H
 // extractions run twice — once with every observability hook off,
-// once with tracer, ledger AND live stream sinks attached and a
-// metrics registry folded from them as the daemon folds it (the span
-// sink streams, the ledger sink streams and records each probe, the
-// phases and engine counters land at the end) — and the row records
+// once with tracer, ledger AND the live ledger sink attached and a
+// metrics registry folded from them as the daemon folds it (the ledger
+// sink records each probe as it lands, the phases and engine counters
+// land at the end) — and the row records
 // the relative cost in process CPU time (wall clock off unix). The
 // acceptance bar for the production deployment is <5% overhead with
 // byte-identical extracted SQL.
@@ -72,8 +72,7 @@ func Obs(w io.Writer, opt Options) ([]ObsRow, error) {
 			ledger = obs.NewLedger()
 			cfg.Ledger = ledger
 			metrics = obs.NewMetrics()
-			// Live sinks too: the production daemon always streams.
-			cfg.Tracer.SetSink(func(obs.SpanEvent) {})
+			// The ledger sink too: the production daemon streams each probe.
 			ledger.SetSink(metrics.RecordProbe)
 		}
 		// Equalize allocator state before the timed region: without
@@ -106,7 +105,7 @@ func Obs(w io.Writer, opt Options) ([]ObsRow, error) {
 
 	var rows []ObsRow
 	tbl := &TextTable{
-		Title:  "Telemetry overhead (tracer+ledger+stream sinks+metrics vs. all off)",
+		Title:  "Telemetry overhead (tracer+ledger+sink+metrics vs. all off)",
 		Header: []string{"query", "off_ms", "on_ms", "overhead_%", "probes", "sql_identical"},
 	}
 	for _, name := range names {

@@ -251,7 +251,7 @@ func TestMetricsMatchStats(t *testing.T) {
 	if got := m.Counter("cache_hit").Value(); got != ext.Stats.CacheHits {
 		t.Errorf("cache_hit metric %d, stats %d", got, ext.Stats.CacheHits)
 	}
-	if got := m.Histogram("probe_latency_ms").Count(); got != ext.Stats.AppInvocations {
+	if got := m.Histogram("probe_latency_ms").Snapshot().Count; got != ext.Stats.AppInvocations {
 		t.Errorf("latency histogram has %d observations, want one per invocation (%d)",
 			got, ext.Stats.AppInvocations)
 	}
@@ -305,7 +305,7 @@ func TestPhaseHistogramsAndEngineBridge(t *testing.T) {
 		"assemble", "checker", "eqc-verify",
 	}
 	for _, phase := range phases {
-		if got := m.Histogram("phase_ms." + phase).Count(); got != 1 {
+		if got := m.Histogram("phase_ms." + phase).Snapshot().Count; got != 1 {
 			t.Errorf("phase_ms.%s has %d observations, want 1", phase, got)
 		}
 	}

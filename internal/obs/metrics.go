@@ -228,26 +228,6 @@ func (h *Histogram) Observe(v float64) {
 	h.sum += v
 }
 
-// Count reports the number of observations; nil-safe.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.n
-}
-
-// Sum reports the sum of observations; nil-safe.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
 // Snapshot copies the histogram state; nil-safe (zero snapshot).
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	if h == nil {

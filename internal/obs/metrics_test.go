@@ -25,13 +25,14 @@ func TestMetricsHistogram(t *testing.T) {
 	for _, v := range []float64{0.05, 0.2, 3, 10000} {
 		h.Observe(v)
 	}
-	if h.Count() != 4 {
-		t.Errorf("count = %d, want 4", h.Count())
+	snap := h.Snapshot()
+	if snap.Count != 4 {
+		t.Errorf("count = %d, want 4", snap.Count)
 	}
-	if h.Sum() != 10003.25 {
-		t.Errorf("sum = %v", h.Sum())
+	if snap.Sum != 10003.25 {
+		t.Errorf("sum = %v", snap.Sum)
 	}
-	counts := h.Snapshot().Counts
+	counts := snap.Counts
 	// 0.05 → bucket 0 (≤0.1); 10000 → overflow bucket.
 	if counts[0] != 1 || counts[len(counts)-1] != 1 {
 		t.Errorf("bucket assignment wrong: %v", counts)
@@ -46,7 +47,7 @@ func TestMetricsNilSafety(t *testing.T) {
 	if m.Counter("a").Value() != 0 || m.Gauge("b").Value() != 0 {
 		t.Error("nil registry returned live instruments")
 	}
-	if m.Histogram("c").Count() != 0 || m.Histogram("c").Sum() != 0 {
+	if h := m.Histogram("c").Snapshot(); h.Count != 0 || h.Sum != 0 {
 		t.Error("nil histogram retained observations")
 	}
 }
@@ -66,8 +67,8 @@ func TestMetricsConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if m.Counter("n").Value() != 800 || m.Histogram("h").Count() != 800 {
-		t.Fatalf("lost updates: n=%d h=%d", m.Counter("n").Value(), m.Histogram("h").Count())
+	if m.Counter("n").Value() != 800 || m.Histogram("h").Snapshot().Count != 800 {
+		t.Fatalf("lost updates: n=%d h=%d", m.Counter("n").Value(), m.Histogram("h").Snapshot().Count)
 	}
 }
 
@@ -94,9 +95,9 @@ func TestRecordProbeFoldsLedgerEvents(t *testing.T) {
 			t.Errorf("%s = %d, want %d", name, got, want)
 		}
 	}
-	h := m.Histogram("probe_latency_ms")
-	if h.Count() != 2 || h.Sum() != 1.75 {
-		t.Errorf("probe_latency_ms count=%d sum=%v, want 2 and 1.75", h.Count(), h.Sum())
+	h := m.Histogram("probe_latency_ms").Snapshot()
+	if h.Count != 2 || h.Sum != 1.75 {
+		t.Errorf("probe_latency_ms count=%d sum=%v, want 2 and 1.75", h.Count, h.Sum)
 	}
 	var nilM *Metrics
 	nilM.RecordProbe(ProbeEvent{Cache: CacheMiss})
@@ -115,9 +116,9 @@ func TestRecordPhasesObservesRootChildren(t *testing.T) {
 		{ID: 4, Parent: 1, Name: "minimizer", DurUS: 3000, Err: "boom"},
 	})
 	for name, want := range map[string]float64{"from-clause": 2, "minimizer": 3} {
-		h := m.Histogram("phase_ms." + name)
-		if h.Count() != 1 || h.Sum() != want {
-			t.Errorf("phase_ms.%s count=%d sum=%v, want 1 and %v", name, h.Count(), h.Sum(), want)
+		h := m.Histogram("phase_ms." + name).Snapshot()
+		if h.Count != 1 || h.Sum != want {
+			t.Errorf("phase_ms.%s count=%d sum=%v, want 1 and %v", name, h.Count, h.Sum, want)
 		}
 	}
 	if got := len(m.Export().Histograms); got != 2 {

@@ -3,76 +3,8 @@ package obs
 import (
 	"bytes"
 	"strings"
-	"sync"
 	"testing"
 )
-
-func TestTracerSinkEmitsStartAndEnd(t *testing.T) {
-	tr := NewTracer("extract")
-	var mu sync.Mutex
-	var got []SpanEvent
-	tr.SetSink(func(e SpanEvent) {
-		mu.Lock()
-		got = append(got, e)
-		mu.Unlock()
-	})
-	phase := tr.Root().Child("filters", SeqAuto)
-	probe := phase.Child("probe", 3)
-	probe.End()
-	phase.End()
-	tr.Root().End()
-
-	mu.Lock()
-	defer mu.Unlock()
-	// filters open, probe open, probe end, filters end, root end.
-	if len(got) != 5 {
-		t.Fatalf("expected 5 live events, got %d: %+v", len(got), got)
-	}
-	if !got[0].Open || got[0].Name != "filters" {
-		t.Errorf("first event should be open filters span: %+v", got[0])
-	}
-	if got[2].Open || got[2].Name != "probe" || got[2].Seq != 3 {
-		t.Errorf("third event should be closed probe span: %+v", got[2])
-	}
-	for i, e := range got {
-		if e.ID != 0 || e.Parent != 0 {
-			t.Errorf("live event %d carries export ids: %+v", i, e)
-		}
-		if e.Type != TypeSpan {
-			t.Errorf("live event %d has type %q", i, e.Type)
-		}
-	}
-}
-
-func TestTracerSinkDoesNotAffectExport(t *testing.T) {
-	tr := NewTracer("extract")
-	tr.SetSink(func(SpanEvent) {})
-	tr.Root().Child("a", SeqAuto).End()
-	tr.Root().End()
-	events := tr.Events()
-	if len(events) != 2 || events[0].ID != 1 || events[1].ID != 2 {
-		t.Fatalf("export ids disturbed by sink: %+v", events)
-	}
-}
-
-func TestTracerSinkNilSafety(t *testing.T) {
-	var tr *Tracer
-	tr.SetSink(func(SpanEvent) { t.Error("sink on nil tracer fired") })
-	tr.Root().Child("x", SeqAuto).End()
-}
-
-func TestTracerSinkEndIdempotent(t *testing.T) {
-	tr := NewTracer("extract")
-	n := 0
-	tr.SetSink(func(SpanEvent) { n++ })
-	s := tr.Root().Child("a", SeqAuto)
-	s.End()
-	s.End()
-	s.EndErr(nil)
-	if n != 2 { // one open frame + one end frame
-		t.Fatalf("repeated End emitted %d events, want 2", n)
-	}
-}
 
 func TestLedgerSink(t *testing.T) {
 	l := NewLedger()
@@ -148,18 +80,22 @@ func TestHistogramQuantileBucketBoundaries(t *testing.T) {
 	}
 }
 
+// TestValidateStreamAcceptsLiveFrames: a job's stream carries the
+// frames of its trace file — the span export, with ids, after the
+// probes — plus job lifecycle frames.
 func TestValidateStreamAcceptsLiveFrames(t *testing.T) {
 	var b bytes.Buffer
+	b.WriteString(`{"type":"job","id":7,"state":"running"}` + "\n")
 	b.WriteString(`{"type":"run","app":"tpch/Q3","workers":2}` + "\n")
-	b.WriteString(`{"type":"span","name":"filters","seq":1,"start_us":10,"dur_us":0,"open":true}` + "\n")
 	b.WriteString(`{"type":"probe","phase":"filters","phase_seq":4,"kind":"exec","cache":"miss","digest":"ab","rows":1}` + "\n")
-	b.WriteString(`{"type":"span","name":"filters","seq":1,"start_us":10,"dur_us":300}` + "\n")
+	b.WriteString(`{"type":"span","id":1,"parent":0,"name":"extract","seq":-1,"start_us":0,"dur_us":400}` + "\n")
+	b.WriteString(`{"type":"span","id":2,"parent":1,"name":"filters","seq":1,"start_us":10,"dur_us":300}` + "\n")
 	b.WriteString(`{"type":"job","id":7,"state":"done"}` + "\n")
 	sum, err := ValidateStream(&b)
 	if err != nil {
 		t.Fatalf("valid stream rejected: %v", err)
 	}
-	if sum.Frames != 5 || sum.Spans != 2 || sum.OpenSpans != 1 || sum.Probes != 1 || sum.Jobs != 1 {
+	if sum.Frames != 6 || sum.Spans != 2 || sum.Probes != 1 || sum.Jobs != 2 {
 		t.Errorf("summary wrong: %+v", sum)
 	}
 	if sum.Final != "done" || len(sum.Apps) != 1 {
@@ -188,21 +124,22 @@ func TestValidateStreamAcceptsSSETranscript(t *testing.T) {
 
 func TestValidateStreamRejections(t *testing.T) {
 	cases := map[string]string{
-		"empty capture":         "",
-		"unknown type":          `{"type":"mystery"}`,
-		"live span with parent": `{"type":"span","name":"a","parent":3}`,
-		"span without name":     `{"type":"span"}`,
-		"bad job state":         `{"type":"job","state":"zombie"}`,
-		"bad probe":             `{"type":"probe","phase":"p","kind":"nope","cache":"miss"}`,
-		"exported dup id":       `{"type":"span","id":1,"name":"a"}` + "\n" + `{"type":"span","id":1,"name":"b"}`,
-		"negative timing":       `{"type":"span","name":"a","dur_us":-1}`,
+		"empty capture":            "",
+		"unknown type":             `{"type":"mystery"}`,
+		"id-less span with parent": `{"type":"span","name":"a","parent":3}`,
+		"id-less span (old live)":  `{"type":"span","name":"filters","seq":1,"start_us":10,"dur_us":300}`,
+		"span without name":        `{"type":"span"}`,
+		"bad job state":            `{"type":"job","state":"zombie"}`,
+		"bad probe":                `{"type":"probe","phase":"p","kind":"nope","cache":"miss"}`,
+		"exported dup id":          `{"type":"span","id":1,"name":"a"}` + "\n" + `{"type":"span","id":1,"name":"b"}`,
+		"negative timing":          `{"type":"span","name":"a","dur_us":-1}`,
 	}
 	for name, in := range cases {
 		if _, err := ValidateStream(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
-	// Exported (id-bearing) spans still follow pre-order rules.
+	// Span frames follow the pre-order rules of a trace file.
 	good := `{"type":"span","id":1,"name":"root"}` + "\n" + `{"type":"span","id":2,"parent":1,"name":"child"}`
 	if _, err := ValidateStream(strings.NewReader(good)); err != nil {
 		t.Errorf("pre-order exported spans rejected: %v", err)

@@ -30,7 +30,7 @@ type catapultTrace struct {
 	OtherData       map[string]any  `json:"otherData,omitempty"`
 }
 
-// WriteCatapult renders a recorded extraction trace as Chrome
+// writeCatapult renders a recorded extraction trace as Chrome
 // trace-event JSON. Spans become complete ("X") events on the
 // pipeline track (tid 0); probe-ledger events become complete events
 // on one track per scheduler worker (tid = worker+1), so the Perfetto
@@ -38,7 +38,7 @@ type catapultTrace struct {
 // Metadata events name the process after the traced application and
 // label every track. The output is deterministic for a given input
 // (events keep input order; workers are discovered in sorted order).
-func WriteCatapult(w io.Writer, h obs.RunHeader, spans []obs.SpanEvent, probes []obs.ProbeEvent) error {
+func writeCatapult(w io.Writer, h obs.RunHeader, spans []obs.SpanEvent, probes []obs.ProbeEvent) error {
 	app := h.App
 	if app == "" {
 		app = "unmasque"
@@ -63,11 +63,7 @@ func WriteCatapult(w io.Writer, h obs.RunHeader, spans []obs.SpanEvent, probes [
 	}
 
 	for _, s := range spans {
-		args := map[string]any{"seq": s.Seq}
-		if s.ID != 0 {
-			args["id"] = s.ID
-			args["parent"] = s.Parent
-		}
+		args := map[string]any{"seq": s.Seq, "id": s.ID, "parent": s.Parent}
 		for k, v := range s.Attrs {
 			args[k] = v
 		}
@@ -148,5 +144,5 @@ func CatapultFromTrace(w io.Writer, r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	return WriteCatapult(w, header, spans, probes)
+	return writeCatapult(w, header, spans, probes)
 }

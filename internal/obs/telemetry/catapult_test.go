@@ -29,7 +29,7 @@ func catapultFixture() (obs.RunHeader, []obs.SpanEvent, []obs.ProbeEvent) {
 func TestWriteCatapultStructure(t *testing.T) {
 	h, spans, probes := catapultFixture()
 	var buf bytes.Buffer
-	if err := WriteCatapult(&buf, h, spans, probes); err != nil {
+	if err := writeCatapult(&buf, h, spans, probes); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -81,10 +81,10 @@ func TestWriteCatapultStructure(t *testing.T) {
 func TestWriteCatapultDeterministic(t *testing.T) {
 	h, spans, probes := catapultFixture()
 	var a, b bytes.Buffer
-	if err := WriteCatapult(&a, h, spans, probes); err != nil {
+	if err := writeCatapult(&a, h, spans, probes); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteCatapult(&b, h, spans, probes); err != nil {
+	if err := writeCatapult(&b, h, spans, probes); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -171,7 +171,7 @@ func TestTraceFileReadersRejectStreamFrames(t *testing.T) {
 
 func TestWriteCatapultEmptyApp(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteCatapult(&buf, obs.RunHeader{}, nil, nil); err != nil {
+	if err := writeCatapult(&buf, obs.RunHeader{}, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), `"name":"unmasque"`) {

@@ -8,11 +8,13 @@ import (
 )
 
 // Stream is the live trace broker behind GET /jobs/{id}/trace/stream:
-// frames published by the job's Tracer/Ledger sinks are buffered for
-// replay and fanned out to SSE subscribers. Semantics:
+// the frames the daemon publishes for one job (lifecycle transitions,
+// the run header, each probe as it lands and the span export at the
+// end) are buffered for replay and fanned out to SSE subscribers.
+// Semantics:
 //
 //   - A subscriber receives every frame published before it joined
-//     (the replay prefix, up to the buffer cap) and then every frame
+//     (the replay prefix, up to maxReplay frames) and then every frame
 //     published after, in publish order, with no gap or duplication
 //     at the boundary.
 //   - Close marks the stream terminal and closes every live channel;
@@ -25,28 +27,24 @@ import (
 //
 // All methods are safe for concurrent use; a nil *Stream no-ops.
 type Stream struct {
-	mu        sync.Mutex
-	replay    [][]byte
-	subs      map[int]chan []byte
-	nextSub   int
-	closed    bool
-	maxReplay int
-	truncated bool
+	mu      sync.Mutex
+	replay  [][]byte
+	subs    map[int]chan []byte
+	nextSub int
+	closed  bool
 }
 
 // subBuffer is the per-subscriber channel depth; a consumer this far
 // behind a live extraction is shed rather than backpressured.
 const subBuffer = 1024
 
-// NewStream builds a broker whose replay buffer keeps up to maxReplay
-// frames (<= 0 selects 65536, comfortably above a full TPC-H
-// extraction's frame count). When the cap is hit, the oldest frames
-// are dropped and the replay prefix is marked truncated.
-func NewStream(maxReplay int) *Stream {
-	if maxReplay <= 0 {
-		maxReplay = 1 << 16
-	}
-	return &Stream{subs: map[int]chan []byte{}, maxReplay: maxReplay}
+// maxReplay caps the replay buffer, comfortably above a full TPC-H
+// extraction's frame count; past it the oldest frames are dropped.
+const maxReplay = 1 << 16
+
+// NewStream builds an empty broker.
+func NewStream() *Stream {
+	return &Stream{subs: map[int]chan []byte{}}
 }
 
 // Publish marshals one frame (any of the obs event structs) and
@@ -66,9 +64,8 @@ func (s *Stream) Publish(frame any) {
 	if s.closed {
 		return
 	}
-	if len(s.replay) >= s.maxReplay {
+	if len(s.replay) >= maxReplay {
 		s.replay = s.replay[1:]
-		s.truncated = true
 	}
 	s.replay = append(s.replay, enc)
 	for id, ch := range s.subs {
@@ -131,36 +128,6 @@ func (s *Stream) Close() {
 		close(ch)
 		delete(s.subs, id)
 	}
-}
-
-// Closed reports whether the stream is terminal.
-func (s *Stream) Closed() bool {
-	if s == nil {
-		return true
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
-}
-
-// Len reports the replay buffer's frame count.
-func (s *Stream) Len() int {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.replay)
-}
-
-// Truncated reports whether the replay prefix lost frames to the cap.
-func (s *Stream) Truncated() bool {
-	if s == nil {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.truncated
 }
 
 // ServeSSE streams the broker over Server-Sent Events: the replay

@@ -14,7 +14,7 @@ import (
 )
 
 func TestStreamReplayThenLive(t *testing.T) {
-	s := NewStream(0)
+	s := NewStream()
 	s.Publish(obs.JobEvent{Type: obs.TypeJob, ID: 1, State: "running"})
 	s.Publish(obs.ProbeEvent{Type: obs.TypeProbe, Phase: "filters", Kind: obs.KindExec, Cache: obs.CacheMiss})
 
@@ -42,16 +42,13 @@ func TestStreamReplayThenLive(t *testing.T) {
 }
 
 func TestStreamCloseSemantics(t *testing.T) {
-	s := NewStream(0)
+	s := NewStream()
 	s.Publish(obs.JobEvent{Type: obs.TypeJob, State: "running"})
 	_, live, cancel := s.Subscribe()
 	defer cancel()
 	s.Close()
 	if _, ok := <-live; ok {
 		t.Error("live channel must close when the stream closes")
-	}
-	if !s.Closed() {
-		t.Error("Closed() false after Close")
 	}
 	// Terminal subscribe: full replay, already-closed channel.
 	replay, live2, cancel2 := s.Subscribe()
@@ -63,14 +60,14 @@ func TestStreamCloseSemantics(t *testing.T) {
 		t.Error("terminal subscription channel must be closed")
 	}
 	s.Publish(obs.JobEvent{Type: obs.TypeJob, State: "done"}) // no-op
-	if s.Len() != 1 {
+	if replay, _, _ := s.Subscribe(); len(replay) != 1 {
 		t.Error("publish after close must not grow the replay buffer")
 	}
 	s.Close() // idempotent
 }
 
 func TestStreamSlowConsumerShed(t *testing.T) {
-	s := NewStream(0)
+	s := NewStream()
 	_, live, cancel := s.Subscribe()
 	defer cancel()
 	for i := 0; i < subBuffer+10; i++ {
@@ -83,23 +80,25 @@ func TestStreamSlowConsumerShed(t *testing.T) {
 	if n != subBuffer {
 		t.Errorf("shed consumer drained %d frames, want the %d buffered", n, subBuffer)
 	}
-	if s.Len() != subBuffer+10 {
-		t.Errorf("replay buffer must keep everything: %d", s.Len())
+	replay, _, cancel2 := s.Subscribe()
+	cancel2()
+	if len(replay) != subBuffer+10 {
+		t.Errorf("replay buffer must keep everything: %d", len(replay))
 	}
 }
 
 func TestStreamReplayTruncation(t *testing.T) {
-	s := NewStream(4)
-	for i := 0; i < 10; i++ {
+	s := NewStream()
+	for i := 1; i <= maxReplay+1; i++ {
 		s.Publish(obs.JobEvent{Type: obs.TypeJob, ID: int64(i), State: "running"})
 	}
 	replay, _, cancel := s.Subscribe()
 	defer cancel()
-	if len(replay) != 4 || !s.Truncated() {
-		t.Errorf("cap not applied: %d frames, truncated=%v", len(replay), s.Truncated())
+	if len(replay) != maxReplay {
+		t.Errorf("cap not applied: %d frames, want %d", len(replay), maxReplay)
 	}
-	if !strings.Contains(string(replay[0]), `"id":6`) {
-		t.Errorf("oldest frames must be the ones dropped: %s", replay[0])
+	if !strings.Contains(string(replay[0]), `"id":2,`) {
+		t.Errorf("the oldest frame must be the one dropped: %s", replay[0])
 	}
 }
 
@@ -107,9 +106,6 @@ func TestStreamNilSafety(t *testing.T) {
 	var s *Stream
 	s.Publish(obs.JobEvent{})
 	s.Close()
-	if !s.Closed() || s.Len() != 0 || s.Truncated() {
-		t.Error("nil stream accessors wrong")
-	}
 	replay, live, cancel := s.Subscribe()
 	cancel()
 	if len(replay) != 0 {
@@ -121,7 +117,7 @@ func TestStreamNilSafety(t *testing.T) {
 }
 
 func TestStreamCancelIdempotent(t *testing.T) {
-	s := NewStream(0)
+	s := NewStream()
 	_, _, cancel := s.Subscribe()
 	cancel()
 	cancel()
@@ -131,7 +127,7 @@ func TestStreamCancelIdempotent(t *testing.T) {
 // TestServeSSETerminal pins the terminal-job contract: immediate full
 // replay, then the response ends.
 func TestServeSSETerminal(t *testing.T) {
-	s := NewStream(0)
+	s := NewStream()
 	s.Publish(obs.RunHeader{Type: obs.TypeRun, App: "tpch/Q3"})
 	s.Publish(obs.JobEvent{Type: obs.TypeJob, ID: 3, State: "done"})
 	s.Close()
@@ -160,7 +156,7 @@ func TestServeSSETerminal(t *testing.T) {
 // replay prefix plus everything published after it joined, and the
 // response ends when the stream closes.
 func TestServeSSELive(t *testing.T) {
-	s := NewStream(0)
+	s := NewStream()
 	s.Publish(obs.RunHeader{Type: obs.TypeRun, App: "tpch/Q3"})
 
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -218,7 +214,7 @@ func TestServeSSELive(t *testing.T) {
 // TestServeSSEClientGone verifies the handler unblocks when the
 // client disconnects mid-stream.
 func TestServeSSEClientGone(t *testing.T) {
-	s := NewStream(0)
+	s := NewStream()
 	ctx, cancelReq := context.WithCancel(context.Background())
 	req := httptest.NewRequest("GET", "/stream", nil).WithContext(ctx)
 	rec := httptest.NewRecorder()
@@ -238,7 +234,7 @@ func TestServeSSEClientGone(t *testing.T) {
 
 // TestServeSSERequiresFlusher covers the non-flushing writer path.
 func TestServeSSERequiresFlusher(t *testing.T) {
-	s := NewStream(0)
+	s := NewStream()
 	w := &nonFlushingWriter{header: http.Header{}}
 	ServeSSE(w, httptest.NewRequest("GET", "/stream", nil), s)
 	if w.status != http.StatusInternalServerError {

@@ -15,8 +15,8 @@
 //     events on per-worker tracks.
 //   - stream.go is the live-trace broker behind the service's
 //     GET /jobs/{id}/trace/stream SSE endpoint: a replay buffer plus
-//     subscriber fan-out fed by the obs Tracer/Ledger sink hooks, so
-//     a running extraction can be tailed as it happens.
+//     subscriber fan-out, so a running extraction can be tailed probe
+//     by probe as the ledger records them.
 //
 // Like the rest of obs, everything here is standard library only.
 package telemetry

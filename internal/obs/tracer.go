@@ -13,47 +13,11 @@ import (
 // on whether tracing is enabled.
 type Tracer struct {
 	root *Span
-
-	mu   sync.Mutex
-	sink func(SpanEvent)
 }
 
 // NewTracer starts a tracer whose root span carries the given name.
 func NewTracer(name string) *Tracer {
-	t := &Tracer{}
-	t.root = newSpan(t, name, SeqAuto)
-	return t
-}
-
-// SetSink installs a live-export hook: every span emits one SpanEvent
-// into the sink the moment it ends (and the moment it starts, with
-// Open set), in real completion order. Live events carry ID 0 /
-// Parent 0 — deterministic pre-order ids exist only in the final
-// Events() export — and their timings are relative to the root span's
-// start. The sink runs outside span locks but must still be fast and
-// non-blocking; nil uninstalls. Nil-safe on a nil tracer.
-func (t *Tracer) SetSink(fn func(SpanEvent)) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.sink = fn
-	t.mu.Unlock()
-}
-
-// emit renders s as a live event and hands it to the sink, if any.
-// Called with no span locks held.
-func (t *Tracer) emit(s *Span) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	fn := t.sink
-	t.mu.Unlock()
-	if fn == nil {
-		return
-	}
-	fn(s.event(0, t.root.start, time.Now()))
+	return &Tracer{root: newSpan(name, SeqAuto)}
 }
 
 // Root returns the root span (nil for a nil tracer).
@@ -97,8 +61,6 @@ const SeqAuto = -1
 
 // Span is one node of the trace tree.
 type Span struct {
-	tr *Tracer // owning tracer (live-sink emission); nil for orphans
-
 	mu       sync.Mutex
 	name     string
 	seq      int
@@ -111,8 +73,8 @@ type Span struct {
 	nextSeq  int
 }
 
-func newSpan(tr *Tracer, name string, seq int) *Span {
-	return &Span{tr: tr, name: name, seq: seq, start: time.Now()}
+func newSpan(name string, seq int) *Span {
+	return &Span{name: name, seq: seq, start: time.Now()}
 }
 
 // Child starts a sub-span. seq fixes the child's deterministic
@@ -130,10 +92,9 @@ func (s *Span) Child(name string, seq int) *Span {
 	if seq >= s.nextSeq {
 		s.nextSeq = seq + 1
 	}
-	c := newSpan(s.tr, name, seq)
+	c := newSpan(name, seq)
 	s.children = append(s.children, c)
 	s.mu.Unlock()
-	c.tr.emit(c) // live "span started" frame (Open=true)
 	return c
 }
 
@@ -162,17 +123,13 @@ func (s *Span) EndErr(err error) {
 		return
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.ended {
-		s.mu.Unlock()
 		return
 	}
 	s.ended = true
 	s.dur = time.Since(s.start)
 	s.err = err
-	s.mu.Unlock()
-	// Emit after unlocking: the sink re-reads the span (event locks it)
-	// and must never run under the span lock.
-	s.tr.emit(s)
 }
 
 // Name returns the span name.

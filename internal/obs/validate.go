@@ -150,7 +150,7 @@ func Validate(r io.Reader) (*TraceSummary, error) {
 	sum := &TraceSummary{ByPhase: map[string]int{}}
 	seen := map[int]bool{}
 	err := Decode(r, func(f Frame) error {
-		if err := checkFrame(&f, seen, false); err != nil {
+		if err := checkFrame(&f, seen); err != nil {
 			return err
 		}
 		switch f.Type {
@@ -181,17 +181,15 @@ func Validate(r io.Reader) (*TraceSummary, error) {
 }
 
 // checkFrame applies the schema rules of f's type. seen holds the ids
-// of the spans checked so far. With live set, a span without an id is
-// a live stream frame: it has no place in the pre-order tree yet, so
-// it must carry no parent either.
-func checkFrame(f *Frame, seen map[int]bool, live bool) error {
+// of the spans checked so far.
+func checkFrame(f *Frame, seen map[int]bool) error {
 	switch f.Type {
 	case TypeRun:
 		if f.Run.App == "" {
 			return fmt.Errorf("run header without app")
 		}
 	case TypeSpan:
-		return checkSpan(&f.Span, seen, live)
+		return checkSpan(&f.Span, seen)
 	case TypeProbe:
 		return checkProbe(&f.Probe)
 	case TypeJob:
@@ -202,16 +200,12 @@ func checkFrame(f *Frame, seen map[int]bool, live bool) error {
 	return nil
 }
 
-func checkSpan(s *SpanEvent, seen map[int]bool, live bool) error {
+func checkSpan(s *SpanEvent, seen map[int]bool) error {
 	switch {
 	case s.Name == "":
 		return fmt.Errorf("span without name")
 	case s.DurUS < 0 || s.StartUS < 0:
 		return fmt.Errorf("span %q: negative timing", s.Name)
-	case live && s.ID == 0 && s.Parent != 0:
-		return fmt.Errorf("live span %q carries parent %d without an id", s.Name, s.Parent)
-	case live && s.ID == 0:
-		return nil
 	case s.ID <= 0:
 		return fmt.Errorf("span %q: id %d must be positive", s.Name, s.ID)
 	case seen[s.ID]:
@@ -269,8 +263,6 @@ type StreamSummary struct {
 	Spans  int
 	Probes int
 	Jobs   int
-	// OpenSpans counts span frames emitted at span start (Open=true).
-	OpenSpans int
 	// Apps lists the run headers seen.
 	Apps []string
 	// Final is the state of the last job frame ("" when the capture
@@ -284,33 +276,28 @@ func (s *StreamSummary) String() string {
 	if final == "" {
 		final = "(none)"
 	}
-	return fmt.Sprintf("frames=%d spans=%d (open=%d) probes=%d jobs=%d final=%s",
-		s.Frames, s.Spans, s.OpenSpans, s.Probes, s.Jobs, final)
+	return fmt.Sprintf("frames=%d spans=%d probes=%d jobs=%d final=%s",
+		s.Frames, s.Spans, s.Probes, s.Jobs, final)
 }
 
 // ValidateStream checks a live trace stream against the schema. It
 // accepts both raw JSONL and the SSE transcript curl produces
 // ("data: {...}" frames; event/id/retry and comment lines are
-// skipped). Stream frames differ from trace-file lines in two ways:
-// span frames may be live exports (ID 0, Parent 0 — pre-order ids
-// exist only in the final file export; such frames may also be open,
-// marking span start), and job lifecycle frames (TypeJob) are legal.
-// Everything else — probe schema, run headers, pre-order rules for
-// id-bearing spans — matches Validate. An empty capture is an error.
+// skipped). A stream carries the frames of a trace file plus job
+// lifecycle frames (TypeJob); every other frame, span ids and their
+// pre-order included, follows the rules of Validate. An empty capture
+// is an error.
 func ValidateStream(r io.Reader) (*StreamSummary, error) {
 	sum := &StreamSummary{}
 	seen := map[int]bool{}
 	err := decode(r, true, func(f Frame) error {
-		if err := checkFrame(&f, seen, true); err != nil {
+		if err := checkFrame(&f, seen); err != nil {
 			return err
 		}
 		switch f.Type {
 		case TypeRun:
 			sum.Apps = append(sum.Apps, f.Run.App)
 		case TypeSpan:
-			if f.Span.Open {
-				sum.OpenSpans++
-			}
 			sum.Spans++
 		case TypeProbe:
 			sum.Probes++

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -180,8 +181,9 @@ func TestHTTPEndToEnd(t *testing.T) {
 
 // TestTraceOfUnstartedAndRecoveredJobs: a job cancelled while queued
 // serves a trace of its run header alone, which the trace validator
-// accepts; after a restart the same job is history from an earlier
-// daemon instance and its trace answers 404.
+// accepts, and its stream replays that header between its queued and
+// cancelled frames; after a restart the same job is history from an
+// earlier daemon instance and both endpoints answer 404.
 func TestTraceOfUnstartedAndRecoveredJobs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -189,17 +191,11 @@ func TestTraceOfUnstartedAndRecoveredJobs(t *testing.T) {
 	service.BlockJobsNamed(t, "slow")
 	ctx := context.Background()
 	store := filepath.Join(t.TempDir(), "jobs.jsonl")
-	traceOf := func(mgr *service.Manager, id int64) (int, []byte) {
+	fetch := func(mgr *service.Manager, path string) (int, []byte) {
 		t.Helper()
 		srv := httptest.NewServer(service.NewServer(mgr))
 		defer srv.Close()
-		resp, err := http.Get(fmt.Sprintf("%s/jobs/%d/trace", srv.URL, id))
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		return resp.StatusCode, body
+		return get(t, srv.URL+path)
 	}
 
 	mgr, err := service.Start(ctx, service.Config{Workers: 1, StorePath: store})
@@ -218,7 +214,8 @@ func TestTraceOfUnstartedAndRecoveredJobs(t *testing.T) {
 	if _, err := mgr.Cancel(ctx, queued.ID); err != nil {
 		t.Fatal(err)
 	}
-	code, body := traceOf(mgr, queued.ID)
+	tracePath := fmt.Sprintf("/jobs/%d/trace", queued.ID)
+	code, body := fetch(mgr, tracePath)
 	if code != http.StatusOK {
 		t.Fatalf("trace of a job cancelled while queued: %d %s", code, body)
 	}
@@ -228,6 +225,16 @@ func TestTraceOfUnstartedAndRecoveredJobs(t *testing.T) {
 	}
 	if len(sum.Apps) != 1 || sum.Apps[0] != "never-started" || sum.Spans != 0 || sum.Probes != 0 {
 		t.Errorf("trace of a job that never ran: %+v", sum)
+	}
+	code, stream := fetch(mgr, tracePath+"/stream")
+	want := []string{
+		fmt.Sprintf(`{"type":"job","id":%d,"state":"queued"}`, queued.ID),
+		strings.TrimSuffix(string(body), "\n"),
+		fmt.Sprintf(`{"type":"job","id":%d,"state":"cancelled","err":"cancelled before start"}`, queued.ID),
+	}
+	if got := sseFrames(stream); code != http.StatusOK || !slices.Equal(got, want) {
+		t.Errorf("stream of a job cancelled while queued: %d\n%s\nwant\n%s",
+			code, strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 	if _, err := mgr.Cancel(ctx, slow.ID); err != nil {
 		t.Fatal(err)
@@ -241,7 +248,9 @@ func TestTraceOfUnstartedAndRecoveredJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer restarted.Drain(ctx)
-	if code, body := traceOf(restarted, queued.ID); code != http.StatusNotFound {
-		t.Errorf("trace of a recovered job: %d %s, want 404", code, body)
+	for _, path := range []string{tracePath, tracePath + "/stream"} {
+		if code, body := fetch(restarted, path); code != http.StatusNotFound {
+			t.Errorf("%s of a recovered job: %d %s, want 404", path, code, body)
+		}
 	}
 }

@@ -1,7 +1,9 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"time"
 
 	"unmasque/internal/core"
@@ -54,17 +56,18 @@ type Job struct {
 	errMsg  string
 	stats   core.Stats
 
-	// Per-job observability: the probe ledger attached to the
-	// extraction and the span tree exported at its end, from which the
-	// trace endpoint serves its JSONL download.
-	ledger *obs.Ledger
-	trace  []obs.SpanEvent
-
-	// stream fans the job's live telemetry (run header, span frames,
-	// probe events, lifecycle transitions) out to SSE subscribers. It
-	// is created at admission, closed on the terminal transition, and
-	// nil only for jobs replayed from a previous daemon instance.
+	// stream fans the job's live telemetry (run header, probe events,
+	// the span export, lifecycle transitions) out to SSE subscribers.
+	// It is created at admission, and closed and dropped at the
+	// terminal transition.
 	stream *telemetry.Stream
+	// trace is a terminal job's one telemetry record: its JSONL trace
+	// (run header, span tree, canonical ledger), rendered once at the
+	// terminal transition. Both trace endpoints serve it. probes is its
+	// ledger's length. A job replayed from a previous daemon instance
+	// has neither a trace nor a stream.
+	trace  []byte
+	probes int
 }
 
 // View is the JSON snapshot of a job served by the status and list
@@ -135,12 +138,47 @@ func (j *Job) result() Result {
 		AppInvocations: j.stats.AppInvocations,
 		CacheHits:      j.stats.CacheHits,
 		DiskCacheHits:  j.stats.DiskCacheHits,
-		LedgerEvents:   int64(j.ledger.Len()),
+		LedgerEvents:   int64(j.probes),
 		Workers:        j.stats.Workers,
 
 		JoinBuildsReused: j.stats.JoinBuildsReused,
 		VectorBatches:    j.stats.VectorBatches,
 	}
+}
+
+// renderTrace writes a terminal job's JSONL trace once, into a slice
+// of its own.
+func renderTrace(h obs.RunHeader, spans []obs.SpanEvent, l *obs.Ledger) []byte {
+	var buf bytes.Buffer
+	// A bytes.Buffer never fails a write, and the events hold only
+	// strings and numbers, so WriteTrace cannot fail here.
+	_ = obs.WriteTrace(&buf, h, spans, l)
+	return bytes.Clone(buf.Bytes())
+}
+
+// replay renders a terminal job as a closed stream: its lifecycle
+// frames (queued, then running if it ran), the lines of its trace and
+// its terminal frame.
+func replay(v View, trace []byte) *telemetry.Stream {
+	s := telemetry.NewStream()
+	s.Publish(obs.JobEvent{Type: obs.TypeJob, ID: v.ID, State: string(StateQueued)})
+	if v.Started != "" {
+		s.Publish(obs.JobEvent{Type: obs.TypeJob, ID: v.ID, State: string(StateRunning)})
+	}
+	for len(trace) > 0 {
+		var line []byte
+		line, trace, _ = bytes.Cut(trace, []byte("\n"))
+		s.Publish(json.RawMessage(line))
+	}
+	endStream(s, v.ID, v.State, v.Error)
+	return s
+}
+
+// endStream publishes a job's terminal lifecycle frame and closes its
+// stream.
+func endStream(s *telemetry.Stream, id int64, state State, errMsg string) {
+	s.Publish(obs.JobEvent{Type: obs.TypeJob, ID: id, State: string(state), Err: errMsg})
+	s.Close()
 }
 
 func stamp(t time.Time) string {

@@ -125,7 +125,7 @@ func Start(ctx context.Context, cfg Config) (*Manager, error) {
 			if !rj.State.Terminal() {
 				// Interrupted by the crash: back to the queue.
 				j.state = StateQueued
-				j.stream = telemetry.NewStream(0)
+				j.stream = telemetry.NewStream()
 				j.stream.Publish(obs.JobEvent{Type: obs.TypeJob, ID: j.id, State: string(StateQueued)})
 				requeue = append(requeue, j)
 			}
@@ -183,7 +183,7 @@ func (m *Manager) Submit(ctx context.Context, spec JobSpec) (View, error) {
 		spec:      spec,
 		state:     StateQueued,
 		submitted: time.Now(),
-		stream:    telemetry.NewStream(0),
+		stream:    telemetry.NewStream(),
 	}
 	if err := m.append(ctx, Record{ID: j.id, State: StateQueued, Spec: &spec}); err != nil {
 		return View{}, err
@@ -216,14 +216,12 @@ func (m *Manager) runJob(ctx context.Context, j *Job) {
 	j.started = time.Now()
 	j.cancel = cancel
 	tracer := obs.NewTracer("extract")
-	j.ledger = obs.NewLedger()
-	// Live telemetry: every span open/close and probe record fans out
-	// to the job's SSE stream as it happens, and every probe record
-	// into the registry. stream is write-once at admission, so reading
-	// it outside the lock is safe.
+	ledger := obs.NewLedger()
+	// Live telemetry: every probe record fans out to the job's SSE
+	// stream as it lands, and into the registry. The job drops its
+	// stream only at the terminal transition, which this worker makes.
 	stream := j.stream
-	tracer.SetSink(func(e obs.SpanEvent) { stream.Publish(e) })
-	j.ledger.SetSink(func(e obs.ProbeEvent) {
+	ledger.SetSink(func(e obs.ProbeEvent) {
 		stream.Publish(e)
 		m.metrics.RecordProbe(e)
 	})
@@ -240,7 +238,7 @@ func (m *Manager) runJob(ctx context.Context, j *Job) {
 	if err == nil {
 		cfg := jobConfig(spec)
 		cfg.Tracer = tracer
-		cfg.Ledger = j.ledger
+		cfg.Ledger = ledger
 		if m.probeCache != nil {
 			// The daemon-wide durable tier, scoped to this job's
 			// executable identity: an identical job on a warm cache
@@ -250,6 +248,20 @@ func (m *Manager) runJob(ctx context.Context, j *Job) {
 		ext, err = core.ExtractContext(jctx, exe, db, cfg)
 	}
 	cancel()
+
+	// The span export follows the last probe frame on the stream, and
+	// the trace is rendered once: from here on it is the job's record.
+	header := obs.RunHeader{App: spec.DisplayName(), Seed: spec.Seed}
+	var spans []obs.SpanEvent
+	if err == nil {
+		spans, header.Workers = ext.Trace, ext.Stats.Workers
+	} else {
+		spans = tracer.Events() // the tree up to the failure
+	}
+	for _, s := range spans {
+		stream.Publish(s)
+	}
+	trace := renderTrace(header, spans, ledger)
 
 	m.mu.Lock()
 	j.cancel = nil
@@ -263,7 +275,6 @@ func (m *Manager) runJob(ctx context.Context, j *Job) {
 		j.sql = ext.SQL
 		j.summary = ext.Summary()
 		j.stats = ext.Stats
-		j.trace = ext.Trace
 		rec.State, rec.SQL, rec.Stats = StateDone, ext.SQL, &ext.Stats
 		m.metrics.Counter("jobs_done").Add(1)
 		m.metrics.Counter("engine_join_builds_reused").Add(ext.Stats.JoinBuildsReused)
@@ -271,28 +282,26 @@ func (m *Manager) runJob(ctx context.Context, j *Job) {
 	case j.cancelRequested && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)):
 		j.state = StateCancelled
 		j.errMsg = err.Error()
-		j.trace = tracer.Events()
 		rec.State, rec.Err = StateCancelled, j.errMsg
 		m.metrics.Counter("jobs_cancelled").Add(1)
 	default:
 		j.state = StateFailed
 		j.errMsg = err.Error()
-		j.trace = tracer.Events()
 		rec.State, rec.Err = StateFailed, j.errMsg
 		m.metrics.Counter("jobs_failed").Add(1)
 	}
 	// Recorded before the lock is released, so whoever reads the job as
-	// terminal also reads its phases in the registry.
-	m.metrics.RecordPhases(j.trace)
+	// terminal also reads its phases in the registry and its trace.
+	m.metrics.RecordPhases(spans)
+	j.trace, j.probes, j.stream = trace, ledger.Len(), nil
 	state, errMsg := j.state, j.errMsg
 	m.setGaugesLocked()
 	m.mu.Unlock()
 	m.append(ctx, rec)
 
-	// Terminal frame, then close: late subscribers get the full replay
-	// (header, spans, probes, lifecycle) and an immediate end-of-stream.
-	stream.Publish(obs.JobEvent{Type: obs.TypeJob, ID: j.id, State: string(state), Err: errMsg})
-	stream.Close()
+	// Subscribers that joined while the job ran get its terminal frame
+	// and the end of the stream; later ones get a replay of the trace.
+	endStream(stream, j.id, state, errMsg)
 	log := m.logger.WithJob(j.id).With("latency_ms", float64(latency.Microseconds())/1e3)
 	if state == StateDone {
 		log.Info("job done",
@@ -344,20 +353,14 @@ func (m *Manager) Cancel(ctx context.Context, id int64) (View, error) {
 		m.mu.Unlock()
 		return v, ErrTerminal
 	case j.state == StateQueued:
-		j.state = StateCancelled
-		j.finished = time.Now()
-		j.errMsg = "cancelled before start"
-		j.cancelRequested = true
-		m.queued--
+		stream := m.cancelQueuedLocked(j, "cancelled before start")
 		v := j.view()
-		stream := j.stream
 		m.metrics.Counter("jobs_cancelled").Add(1)
 		m.setGaugesLocked()
 		m.mu.Unlock()
-		stream.Publish(obs.JobEvent{Type: obs.TypeJob, ID: id, State: string(StateCancelled), Err: "cancelled before start"})
-		stream.Close()
-		m.logger.WithJob(id).Warn("job cancelled", "err", "cancelled before start")
-		m.append(ctx, Record{ID: id, State: StateCancelled, Err: j.errMsg})
+		endStream(stream, id, StateCancelled, v.Error)
+		m.logger.WithJob(id).Warn("job cancelled", "err", v.Error)
+		m.append(ctx, Record{ID: id, State: StateCancelled, Err: v.Error})
 		return v, nil
 	default: // running
 		j.cancelRequested = true
@@ -408,11 +411,11 @@ func (m *Manager) List() []View {
 	return out
 }
 
-// WriteTrace serializes the job's recorded trace — run header, span
-// tree, canonical probe ledger — as JSONL. Only terminal jobs have a
-// stable trace; a job cancelled before it started has the header
-// alone. Traces are process-local (not recovered from the store), so
-// jobs replayed from a previous daemon instance have none.
+// WriteTrace writes the job's JSONL trace — run header, span tree,
+// canonical probe ledger — as rendered at its terminal transition.
+// Only terminal jobs have one; a job cancelled before it started has
+// the header alone. Traces are process-local (not recovered from the
+// store), so jobs replayed from a previous daemon instance have none.
 func (m *Manager) WriteTrace(id int64, w io.Writer) error {
 	m.mu.Lock()
 	j, ok := m.jobs[id]
@@ -424,36 +427,38 @@ func (m *Manager) WriteTrace(id int64, w io.Writer) error {
 		m.mu.Unlock()
 		return ErrNotFinished
 	}
-	if j.stream == nil {
-		m.mu.Unlock()
+	trace := j.trace
+	m.mu.Unlock()
+	if trace == nil {
 		return fmt.Errorf("%w: job predates this daemon instance", ErrUnknownJob)
 	}
-	header := obs.RunHeader{
-		App:     j.spec.DisplayName(),
-		Workers: j.stats.Workers,
-		Seed:    j.spec.Seed,
-	}
-	spans := j.trace
-	ledger := j.ledger
-	m.mu.Unlock()
-	return obs.WriteTrace(w, header, spans, ledger)
+	_, err := w.Write(trace)
+	return err
 }
 
-// TraceStream returns the job's live telemetry stream for SSE
-// subscription. A terminal job's stream is closed: subscribers get
-// the full replay and an immediate end-of-stream. Jobs replayed from
-// a previous daemon instance carry no stream.
+// TraceStream returns the job's telemetry stream for SSE
+// subscription. A job not yet terminal has its live stream; a
+// terminal job gets a closed stream that replays its lifecycle frames
+// around its trace, so subscribers get it all and an immediate
+// end-of-stream. Jobs replayed from a previous daemon instance have
+// neither.
 func (m *Manager) TraceStream(id int64) (*telemetry.Stream, error) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	j, ok := m.jobs[id]
 	if !ok {
+		m.mu.Unlock()
 		return nil, ErrUnknownJob
 	}
-	if j.stream == nil {
+	if stream := j.stream; stream != nil {
+		m.mu.Unlock()
+		return stream, nil
+	}
+	v, trace := j.view(), j.trace
+	m.mu.Unlock()
+	if trace == nil {
 		return nil, fmt.Errorf("%w: job predates this daemon instance", ErrUnknownJob)
 	}
-	return j.stream, nil
+	return replay(v, trace), nil
 }
 
 // Counts tallies jobs by state (for /healthz and tests).
@@ -527,15 +532,26 @@ func (m *Manager) cancelRemaining() {
 		if j.cancel != nil {
 			j.cancel()
 		} else if j.state == StateQueued {
-			j.state = StateCancelled
-			m.queued--
-			j.finished = time.Now()
-			j.errMsg = "cancelled by drain"
-			j.stream.Publish(obs.JobEvent{Type: obs.TypeJob, ID: j.id, State: string(StateCancelled), Err: j.errMsg})
-			j.stream.Close()
+			endStream(m.cancelQueuedLocked(j, "cancelled by drain"), j.id, StateCancelled, j.errMsg)
 		}
 	}
 	m.setGaugesLocked()
+}
+
+// cancelQueuedLocked ends a job that never ran: it is cancelled for
+// reason and keeps a trace of its run header alone. It returns the
+// job's stream, which it drops, for the caller to end. The caller
+// holds the Manager lock.
+func (m *Manager) cancelQueuedLocked(j *Job, reason string) *telemetry.Stream {
+	j.state = StateCancelled
+	j.finished = time.Now()
+	j.errMsg = reason
+	j.cancelRequested = true
+	m.queued--
+	stream := j.stream
+	j.trace = renderTrace(obs.RunHeader{App: j.spec.DisplayName(), Seed: j.spec.Seed}, nil, nil)
+	j.stream = nil
+	return stream
 }
 
 // append writes one store record stamped with the wall clock; a nil

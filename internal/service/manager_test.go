@@ -134,7 +134,7 @@ func TestManagerConcurrentJobs(t *testing.T) {
 	if got := met.Gauge("jobs_running").Value(); got != 0 {
 		t.Errorf("jobs_running gauge = %d after drain", got)
 	}
-	if got := met.Histogram("job_latency_ms").Count(); got != n {
+	if got := met.Histogram("job_latency_ms").Snapshot().Count; got != n {
 		t.Errorf("latency histogram has %d observations, want %d", got, n)
 	}
 }

@@ -6,7 +6,6 @@ package service_test
 // structured job-lifecycle logging.
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -14,6 +13,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -42,6 +42,37 @@ func telemetryServer(t *testing.T, workers int) (*service.Manager, *httptest.Ser
 	srv := httptest.NewServer(service.NewServer(mgr))
 	t.Cleanup(srv.Close)
 	return mgr, srv, met, &logBuf
+}
+
+// get fetches url and returns the status code and the body.
+func get(t *testing.T, url string) (int, []byte) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, body
+}
+
+// sseFrames returns the data payloads of an SSE transcript in order.
+func sseFrames(transcript []byte) []string {
+	var frames []string
+	for _, line := range strings.Split(string(transcript), "\n") {
+		if f, ok := strings.CutPrefix(line, "data: "); ok {
+			frames = append(frames, f)
+		}
+	}
+	return frames
+}
+
+// traceLines splits a JSONL trace download into its lines.
+func traceLines(trace []byte) []string {
+	return strings.Split(strings.TrimSuffix(string(trace), "\n"), "\n")
 }
 
 func submitSpec(t *testing.T, mgr *service.Manager, name string) int64 {
@@ -142,9 +173,9 @@ func TestResultEngineCounters(t *testing.T) {
 }
 
 // TestTraceStreamTerminal: subscribing to a finished job's stream
-// yields an immediate full replay — run header, live span frames,
-// probe events, lifecycle transitions ending in "done" — and the
-// response ends. Every frame passes the stream validator.
+// yields an immediate full replay — its lifecycle frames around the
+// lines of its trace download, ending in "done" — and the response
+// ends. Every frame passes the stream validator.
 func TestTraceStreamTerminal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -176,6 +207,19 @@ func TestTraceStreamTerminal(t *testing.T) {
 	if len(sum.Apps) != 1 || sum.Apps[0] != "sse-terminal" {
 		t.Errorf("run header missing from replay: apps=%v", sum.Apps)
 	}
+	code, trace := get(t, srv.URL+"/jobs/1/trace")
+	if code != http.StatusOK {
+		t.Fatalf("trace download: %d %s", code, trace)
+	}
+	want := append([]string{
+		`{"type":"job","id":1,"state":"queued"}`,
+		`{"type":"job","id":1,"state":"running"}`,
+	}, traceLines(trace)...)
+	want = append(want, `{"type":"job","id":1,"state":"done"}`)
+	if got := sseFrames(body); !slices.Equal(got, want) {
+		t.Errorf("replay is not the lifecycle frames around the trace download:\n%s\nwant\n%s",
+			strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
 
 	// Unknown job and (simulated) pre-daemon jobs are 404s.
 	if resp, err := http.Get(srv.URL + "/jobs/99/trace/stream"); err != nil {
@@ -188,20 +232,23 @@ func TestTraceStreamTerminal(t *testing.T) {
 	}
 }
 
-// TestTraceStreamLive: a subscriber that joins mid-job sees the
-// replay prefix plus every event published after it joined, and the
-// stream ends when the job reaches a terminal state.
+// TestTraceStreamLive: a subscriber that joins while the job waits in
+// the queue sees every frame published after it joined, and the stream
+// ends when the job reaches a terminal state. Probes arrive as they
+// land; the span tree arrives once, with its ids, after the last probe.
 func TestTraceStreamLive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	// One worker and a pre-submitted long-ish job make the subscribe
-	// race tractable: we attach while the job is queued or running and
-	// must still observe a terminal frame.
+	// The lone worker runs a job that blocks until it is cancelled, so
+	// the subscriber joins before the job under test starts.
+	service.BlockJobsNamed(t, "slow")
 	mgr, srv, _, _ := telemetryServer(t, 1)
+	slow := submitSpec(t, mgr, "slow")
+	waitState(t, mgr, slow, func(s service.State) bool { return s == service.StateRunning }, "running")
 	id := submitSpec(t, mgr, "sse-live")
 
-	resp, err := http.Get(srv.URL + "/jobs/1/trace/stream")
+	resp, err := http.Get(fmt.Sprintf("%s/jobs/%d/trace/stream", srv.URL, id))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,15 +257,13 @@ func TestTraceStreamLive(t *testing.T) {
 	var transcript bytes.Buffer
 	done := make(chan error, 1)
 	go func() {
-		sc := bufio.NewScanner(resp.Body)
-		sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
-		for sc.Scan() {
-			transcript.WriteString(sc.Text())
-			transcript.WriteByte('\n')
-		}
-		done <- sc.Err()
+		_, err := io.Copy(&transcript, resp.Body)
+		done <- err
 	}()
 
+	if _, err := mgr.Cancel(context.Background(), slow); err != nil {
+		t.Fatal(err)
+	}
 	if v := waitTerminal(t, mgr, id); v.State != service.StateDone {
 		t.Fatalf("job state %s (%s)", v.State, v.Error)
 	}
@@ -231,15 +276,51 @@ func TestTraceStreamLive(t *testing.T) {
 		t.Fatal("stream did not end after the job finished")
 	}
 
+	code, trace := get(t, fmt.Sprintf("%s/jobs/%d/trace", srv.URL, id))
+	if code != http.StatusOK {
+		t.Fatalf("trace download: %d %s", code, trace)
+	}
+	want, err := obs.Validate(bytes.NewReader(trace))
+	if err != nil {
+		t.Fatal(err)
+	}
+	probes, lastProbe, firstSpan := 0, -1, -1
+	ids := map[int]bool{}
+	for i, f := range sseFrames(transcript.Bytes()) {
+		var frame struct {
+			Type string `json:"type"`
+			ID   int    `json:"id"`
+		}
+		if err := json.Unmarshal([]byte(f), &frame); err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		switch frame.Type {
+		case obs.TypeProbe:
+			probes++
+			lastProbe = i
+		case obs.TypeSpan:
+			if frame.ID <= 0 || ids[frame.ID] {
+				t.Fatalf("span frame %d has id %d: every span comes once, with its id", i, frame.ID)
+			}
+			ids[frame.ID] = true
+			if firstSpan < 0 {
+				firstSpan = i
+			}
+		}
+	}
+	if want.Spans == 0 || len(ids) != want.Spans || probes != want.Probes {
+		t.Errorf("live stream carries %d spans and %d probes, the trace %d and %d",
+			len(ids), probes, want.Spans, want.Probes)
+	}
+	if firstSpan < lastProbe {
+		t.Errorf("first span at frame %d, before the last probe at frame %d", firstSpan, lastProbe)
+	}
 	sum, err := obs.ValidateStream(bytes.NewReader(transcript.Bytes()))
 	if err != nil {
 		t.Fatalf("live stream fails validation: %v", err)
 	}
 	if sum.Final != "done" {
 		t.Errorf("final lifecycle state %q, want done", sum.Final)
-	}
-	if sum.Spans == 0 || sum.Probes == 0 {
-		t.Errorf("live stream missing span/probe frames: %s", sum)
 	}
 }
 
